@@ -206,7 +206,11 @@ def apply(op: AugmentOp, image: np.ndarray, rng: Rng) -> np.ndarray:
 
 
 def mixup(x_i, x_j, y_i, y_j, delta):
-    """Blend two samples: x̂ = δ·x_i + (1−δ)·x_j, same for the label vectors."""
+    """Blend two samples: x̂ = δ·x_i + (1−δ)·x_j, same for the label vectors.
+
+    Also blends two batches row by row: images (n, 1, h, w) with labels
+    (n, K); every label row must sum to 1.
+    """
     if x_i.shape != x_j.shape:
         raise ValueError(f"image shapes differ: {x_i.shape} vs {x_j.shape}")
     y_i = np.asarray(y_i, dtype=np.float64)
@@ -216,8 +220,10 @@ def mixup(x_i, x_j, y_i, y_j, delta):
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     for name, y in (("y_i", y_i), ("y_j", y_j)):
-        if abs(float(y.sum()) - 1.0) > 1e-6:
-            raise ValueError(f"{name} must sum to 1, sums to {float(y.sum())}")
+        sums = np.atleast_1d(y.sum(axis=-1))
+        bad = sums[np.abs(sums - 1.0) > 1e-6]
+        if bad.size:
+            raise ValueError(f"{name} rows must sum to 1, one sums to {bad[0]}")
     x_hat = delta * x_i + (1.0 - delta) * x_j
     y_hat = delta * y_i + (1.0 - delta) * y_j
     return x_hat, y_hat

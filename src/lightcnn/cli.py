@@ -47,11 +47,18 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _float_pos(text):
-    v = float(text)
-    if v < 0:
-        raise ValueError(f"expected a non-negative number, got {text}")
-    return v
+def _interval(spec):
+    """Parser for a number inside an interval written like "[0, 1)"."""
+    lo, hi = (float(end) for end in spec[1:-1].split(","))
+
+    def parse(text):
+        v = float(text)
+        above = lo <= v if spec[0] == "[" else lo < v
+        below = v <= hi if spec[-1] == "]" else v < hi
+        if not (above and below):
+            raise ValueError(f"expected a number in {spec}, got {text}")
+        return v
+    return parse
 
 
 def _int_nonneg(text):
@@ -65,26 +72,26 @@ CONFIG_SCHEMA = {
     "arch": (str, "custom590_dw"),
     "epochs": (_int_nonneg, 15),
     "batch_size": (int, 64),
-    "lr": (_float_pos, 0.01),
-    "lr_min": (_float_pos, 1e-4),
-    "momentum": (float, 0.9),
+    "lr": (_interval("[0, inf)"), 0.01),
+    "lr_min": (_interval("[0, inf)"), 1e-4),
+    "momentum": (_interval("[0, 1)"), 0.9),
     "seed": (int, 0),
-    "split_fraction": (float, 0.8),
+    "split_fraction": (_interval("(0, 1)"), 0.8),
     "split_seed": (int, 0),
     "blurpool": (_bool, False),
     "se": (_bool, False),
     "swa": (_bool, False),
     "mixup": (_bool, False),
-    "mixup_alpha": (_float_pos, 0.2),
-    "label_smoothing": (_float_pos, 0.0),
+    "mixup_alpha": (_interval("(0, inf)"), 0.2),
+    "label_smoothing": (_interval("[0, 1)"), 0.0),
     "cutout": (_bool, False),
-    "aug_hflip": (_float_pos, 0.0),
-    "aug_vflip": (_float_pos, 0.0),
-    "aug_rotation": (_float_pos, 0.0),
-    "aug_gaussian_blur": (_float_pos, 0.0),
-    "aug_shift_scale_rotate": (_float_pos, 0.0),
-    "aug_random_crop": (_float_pos, 0.0),
-    "aug_brightness_contrast": (_float_pos, 0.0),
+    "aug_hflip": (_interval("[0, 1]"), 0.0),
+    "aug_vflip": (_interval("[0, 1]"), 0.0),
+    "aug_rotation": (_interval("[0, 1]"), 0.0),
+    "aug_gaussian_blur": (_interval("[0, 1]"), 0.0),
+    "aug_shift_scale_rotate": (_interval("[0, 1]"), 0.0),
+    "aug_random_crop": (_interval("[0, 1]"), 0.0),
+    "aug_brightness_contrast": (_interval("[0, 1]"), 0.0),
 }
 
 
@@ -220,7 +227,7 @@ def cmd_train(args) -> int:
             print(f"wrote {out}, {swa_path} and {report_path}")
         else:
             print(f"wrote {out} and {report_path}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot write outputs: {exc}") from exc
     if report.rows:
         last = report.rows[-1]

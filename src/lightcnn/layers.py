@@ -524,13 +524,18 @@ class Dense(Layer):
         return (gmat @ self.w).reshape(x_shape)
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax over axis 1, for (n, K) logits or (n, K, 1, 1) activations."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class Softmax(Layer):
     """Softmax over the channel axis; rows are positive and sum to 1."""
 
     def forward(self, x, train=True):
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        out = e / e.sum(axis=1, keepdims=True)
+        out = softmax_rows(x)
         if train:
             self._cache = out
         return out

@@ -1,11 +1,11 @@
-"""Rank-4 NCHW tensor helpers, precision/debug modes, and a deterministic RNG.
+"""Precision and debug modes, and a deterministic RNG.
 
-Activations, weights and gradients are plain numpy arrays; the helpers here
-add the contracts the rest of the engine relies on: strict shape checking,
-a switchable default precision (float64 for gradient checking, float32 for
-training and benchmarking), optional NaN/Inf detection, and a counter-based
-random generator that produces bit-identical streams for a given seed on
-every platform.
+Activations, weights and gradients are plain numpy arrays; this module holds
+the process-wide settings the rest of the engine reads: a switchable default
+precision (float64 for gradient checking, float32 for training and
+benchmarking), optional NaN/Inf detection, and a counter-based random
+generator that produces bit-identical streams for a given seed on every
+platform.
 """
 
 from __future__ import annotations
@@ -16,22 +16,11 @@ from contextlib import contextmanager
 import numpy as np
 
 __all__ = [
-    "set_default_dtype",
     "default_dtype",
     "using_dtype",
-    "set_debug",
     "debug_enabled",
     "using_debug",
     "check_finite",
-    "zeros",
-    "zeros_like",
-    "full",
-    "from_values",
-    "add",
-    "sub",
-    "scale",
-    "hadamard",
-    "matmul",
     "Rng",
 ]
 
@@ -52,12 +41,8 @@ def _resolve_dtype(dtype):
     return dt.type
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the element type used by constructors and weight initialisation."""
-    _state["dtype"] = _resolve_dtype(dtype)
-
-
 def default_dtype():
+    """The element type used for weight initialisation and training batches."""
     return _state["dtype"]
 
 
@@ -72,17 +57,13 @@ def using_dtype(dtype):
         _state["dtype"] = prev
 
 
-def set_debug(flag: bool) -> None:
-    """Enable NaN/Inf detection after layer operations (slow; tests only)."""
-    _state["debug"] = bool(flag)
-
-
 def debug_enabled() -> bool:
     return _state["debug"]
 
 
 @contextmanager
 def using_debug(flag: bool = True):
+    """Temporarily toggle NaN/Inf detection after layer operations (slow)."""
     prev = _state["debug"]
     _state["debug"] = bool(flag)
     try:
@@ -95,77 +76,6 @@ def check_finite(arr: np.ndarray, what: str = "value") -> None:
     """In debug mode, raise if ``arr`` contains NaN or Inf."""
     if _state["debug"] and not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values in {what}")
-
-
-# ---------------------------------------------------------------------------
-# constructors and elementwise arithmetic
-# ---------------------------------------------------------------------------
-
-def _validate_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims:
-        raise ValueError("dims must be non-empty")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"all dims must be >= 1, got {dims}")
-    return dims
-
-
-def zeros(dims, dtype=None) -> np.ndarray:
-    return np.zeros(_validate_dims(dims), dtype=_resolve_dtype(dtype))
-
-
-def zeros_like(x: np.ndarray) -> np.ndarray:
-    return np.zeros_like(x)
-
-
-def full(dims, value: float, dtype=None) -> np.ndarray:
-    return np.full(_validate_dims(dims), value, dtype=_resolve_dtype(dtype))
-
-
-def from_values(dims, values, dtype=None) -> np.ndarray:
-    """Build a tensor from a flat row-major value sequence."""
-    dims = _validate_dims(dims)
-    flat = np.asarray(values, dtype=_resolve_dtype(dtype)).ravel()
-    expected = math.prod(dims)
-    if flat.size != expected:
-        raise ValueError(f"expected {expected} values for dims {dims}, got {flat.size}")
-    return flat.reshape(dims).copy()
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: np.ndarray, b) -> np.ndarray:
-    if isinstance(b, np.ndarray):
-        _check_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a: np.ndarray, b) -> np.ndarray:
-    if isinstance(b, np.ndarray):
-        _check_same_shape(a, b, "sub")
-    return a - b
-
-
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    return a * s
-
-
-def hadamard(a: np.ndarray, b) -> np.ndarray:
-    if isinstance(b, np.ndarray):
-        _check_same_shape(a, b, "hadamard")
-    return a * b
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two matrix views; inner dimensions must agree."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D views, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-    return a @ b
 
 
 # ---------------------------------------------------------------------------

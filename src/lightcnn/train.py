@@ -5,7 +5,8 @@ draws all come from counter-based streams derived from the run seed, so
 rerunning the same config on the same host (32-bit mode, single thread)
 produces bit-identical weights.  Across hosts the weights can differ in the
 last bits, because the BLAS library may pick different matrix-multiply
-kernels for a different CPU.
+kernels for a different CPU.  A step whose loss is not finite stops the run
+with an error instead of training on.
 """
 
 import math
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor
 from .augment import augment_image, build_pipeline, mixup, sample_stream
 from .data import Dataset
-from .layers import Network
+from .layers import Network, softmax_rows
 from .tensor import Rng
 
 LOG_FLOOR = 1e-12
@@ -26,23 +27,29 @@ LOG_FLOOR = 1e-12
 
 # ------------------------------------------------------------------- losses
 
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range for {num_classes} classes")
-    y = np.zeros(num_classes)
-    y[label] = 1.0
-    return y
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    """A (K,) one-hot vector for one label, or (n, K) rows for n labels."""
+    labels = np.asarray(labels)
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {num_classes} classes")
+    return (labels[..., None] == np.arange(num_classes)).astype(np.float64)
 
 
 def smooth_labels(y_hot: np.ndarray, alpha: float, num_classes: int) -> np.ndarray:
-    """Blend a one-hot vector toward uniform: (1 - alpha) * y + alpha / K."""
+    """Blend one-hot rows toward uniform: (1 - alpha) * y + alpha / K.
+
+    Accepts one (K,) vector or a batch (n, K); every row must be one-hot.
+    """
     y_hot = np.asarray(y_hot, dtype=np.float64)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if y_hot.shape != (num_classes,):
-        raise ValueError(f"expected a length-{num_classes} vector, got {y_hot.shape}")
-    if not (np.count_nonzero(y_hot == 1.0) == 1 and np.count_nonzero(y_hot) == 1):
-        raise ValueError("smooth_labels expects a one-hot input")
+    if y_hot.ndim not in (1, 2) or y_hot.shape[-1] != num_classes:
+        raise ValueError(f"expected (K,) or (n, K) with K = {num_classes}, "
+                         f"got {y_hot.shape}")
+    if not np.all((np.count_nonzero(y_hot == 1.0, axis=-1) == 1)
+                  & (np.count_nonzero(y_hot, axis=-1) == 1)):
+        raise ValueError("smooth_labels expects one-hot rows")
     return (1.0 - alpha) * y_hot + alpha / num_classes
 
 
@@ -68,13 +75,6 @@ def cross_entropy(y: np.ndarray, y_pred: np.ndarray):
     loss = float(-(y * np.log(np.maximum(y_pred, LOG_FLOOR))).sum() / n)
     grad = (y_pred - y) / n
     return loss, (grad[0] if squeeze else grad)
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for (n, K) logits."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------- optimizer
@@ -156,7 +156,6 @@ class TrainConfig:
     smoothing: float = 0.0          # label-smoothing alpha; 0 disables
     use_mixup: bool = False
     mixup_alpha: float = 0.2        # Beta(alpha, alpha) for the per-batch delta
-    mixup_delta: float | None = None  # fixed delta overrides the Beta draw
     use_swa: bool = False
     augment: dict = field(default_factory=dict)  # op name -> probability
 
@@ -169,8 +168,6 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if not 0.0 <= self.smoothing < 1.0:
             raise ValueError("smoothing must be in [0, 1)")
-        if self.mixup_delta is not None and not 0.0 <= self.mixup_delta <= 1.0:
-            raise ValueError("mixup_delta must be in [0, 1]")
 
 
 @dataclass
@@ -204,14 +201,6 @@ class TrainReport:
 
 
 # ------------------------------------------------------------ the main loop
-
-def _batch_targets(labels, num_classes, alpha):
-    y = np.zeros((len(labels), num_classes))
-    y[np.arange(len(labels)), labels] = 1.0
-    if alpha > 0.0:
-        y = (1.0 - alpha) * y + alpha / num_classes
-    return y
-
 
 def train(network: Network, train_ds: Dataset, eval_ds: Dataset,
           config: TrainConfig):
@@ -249,21 +238,23 @@ def train(network: Network, train_ds: Dataset, eval_ds: Dataset,
                 x = np.concatenate(imgs).astype(dtype)
             else:
                 x = train_ds.images[idx].astype(dtype)
-            y = _batch_targets(train_ds.labels[idx], num_classes, config.smoothing)
+            y = smooth_labels(one_hot(train_ds.labels[idx], num_classes),
+                              config.smoothing, num_classes)
 
             if config.use_mixup:
                 batch_rng = Rng.derive(config.seed, 2, epoch, b_start)
-                if config.mixup_delta is not None:
-                    delta = config.mixup_delta
-                else:
-                    delta = batch_rng.beta(config.mixup_alpha, config.mixup_alpha)
+                delta = batch_rng.beta(config.mixup_alpha, config.mixup_alpha)
                 pair = batch_rng.permutation(b)
-                x = (delta * x + (1.0 - delta) * x[pair]).astype(dtype)
-                y = delta * y + (1.0 - delta) * y[pair]
+                # delta is a Python float, so a float32 batch stays float32
+                x, y = mixup(x, x[pair], y, y[pair], delta)
 
             logits = network.forward_logits(x, train=True).reshape(b, num_classes)
             probs = softmax_rows(logits.astype(np.float64))
             loss, dlogits = cross_entropy(y, probs)
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"training diverged: loss is {loss} at epoch {epoch + 1}, "
+                    f"step {b_start // config.batch_size + 1}")
             network.backward_from_logits(
                 dlogits.reshape(b, num_classes, 1, 1).astype(dtype))
             optimizer.step(network.params(), network.grads(), lr)
@@ -312,8 +303,7 @@ def evaluate(network: Network, ds: Dataset, batch_size: int = 256):
         b = len(labels)
         logits = network.forward_logits(x, train=False).reshape(b, num_classes)
         probs = softmax_rows(logits.astype(np.float64))
-        y = _batch_targets(labels, num_classes, 0.0)
-        loss, _ = cross_entropy(y, probs)
+        loss, _ = cross_entropy(one_hot(labels, num_classes), probs)
         loss_sum += loss * b
         pred = probs.argmax(axis=1)
         for c in range(num_classes):

@@ -4,8 +4,9 @@ Each architecture follows the same skeleton — a conv/pool trunk over three
 spatial stages (28 -> 14 -> 7 -> 4 for the default input) ending in global
 average pooling, one dense classifier, and softmax.  The three parameter
 budgets (140K / 340K / 590K, within 2%) each come in a 3x3-only and a
-depth-wise-separable variant; the per-stage channel widths below were solved
-once by scripts/solve_widths.py and are frozen here.
+depth-wise-separable variant.  The per-stage channel widths below are frozen;
+the test suite checks that each final-stage width is the one whose parameter
+count lies closest to its budget.
 
 Models persist in a small binary container:
 
@@ -42,7 +43,8 @@ _RECIPES = {
     "custom140_dw": ["c3", "c3", "dw", "c3", "dw", "c3"] + ["dw"] * 3,
 }
 
-# (first-stage width, final-stage width) frozen from scripts/solve_widths.py
+# (first-stage width, final-stage width); the final width is the one that
+# brings the parameter count closest to the budget
 _WIDTHS = {
     "custom590_3x3": (16, 209),   # 587,823 params
     "custom590_dw": (16, 315),    # 589,517 params
@@ -170,7 +172,11 @@ def describe(names=ARCH_NAMES, num_classes=10) -> str:
 # ------------------------------------------------------------ model file IO
 
 def save_model(network: Network, path) -> None:
+    """Write the network to a model file; non-finite weights are refused."""
     params = network.params()
+    for key, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{key} holds non-finite values; refusing to save {path}")
     name_bytes = network.name.encode()
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)

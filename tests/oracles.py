@@ -8,20 +8,6 @@ gradient code are validated against these.
 import numpy as np
 
 
-def matmul_loops(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def conv3x3_direct(x, w, b, stride=1):
     """Cross-correlation with 3x3 kernel, zero pad 1."""
     n, cin, h, wd = x.shape

@@ -234,6 +234,29 @@ class TestMixup:
         with pytest.raises(ValueError):
             mixup(x, x, np.full(10, 0.2), np.eye(10)[0], 0.5)
 
+    def test_batch_matches_stacked_pairs(self):
+        rng = Rng(55)
+        x_i = rng.uniform_array(64).reshape(4, 1, 4, 4).astype(np.float32)
+        x_j = rng.uniform_array(64).reshape(4, 1, 4, 4).astype(np.float32)
+        y_i = np.eye(10)[[0, 3, 3, 9]]
+        y_j = 0.9 * np.eye(10)[[1, 3, 7, 2]] + 0.01  # smoothed rows
+        for d in (0.0, 0.37, 1.0):
+            xh, yh = mixup(x_i, x_j, y_i, y_j, d)
+            rows = [mixup(x_i[k:k + 1], x_j[k:k + 1], y_i[k], y_j[k], d)
+                    for k in range(4)]
+            np.testing.assert_array_equal(xh, np.concatenate([r[0] for r in rows]))
+            np.testing.assert_array_equal(yh, np.stack([r[1] for r in rows]))
+            assert xh.dtype == np.float32
+
+    def test_batch_with_one_unnormalized_row_rejected(self):
+        x = np.zeros((3, 1, 4, 4))
+        y = np.eye(10)[[0, 1, 2]]
+        mixup(x, x, y, y, 0.5)
+        y_bad = y.copy()
+        y_bad[1, 5] = 1.0
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            mixup(x, x, y, y_bad, 0.5)
+
 
 class TestPipeline:
     def test_empty_config_is_identity(self, rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,32 @@ class TestTrainCommand:
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         code = self._train(tmp_path, capsys, BASE_CONFIG + "brightness = 2\n")[0]
         assert code == 1
+
+    @pytest.mark.parametrize("lines, lineno", [
+        ("momentum = 1.5", 8),
+        ("split_fraction = 1.5", 8),
+        ("mixup = true\nmixup_alpha = 0", 9),
+    ])
+    def test_out_of_range_value_exit_1_with_line(self, tmp_path, capsys,
+                                                 lines, lineno):
+        code, _, err, out = self._train(tmp_path, capsys,
+                                        BASE_CONFIG + lines + "\n")
+        assert code == 1
+        assert f"cfg.txt:{lineno}: " in err
+        assert not out.exists()
+
+    def test_diverging_run_exit_2_without_model(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BASE_CONFIG.replace("lr = 0.02", "lr = 1e6")
+                       .replace("epochs = 1", "epochs = 3"))
+        dataset = make_container(tmp_path, classes=2, per_class=10, size=16)
+        out = tmp_path / "m.cnm"
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(["train", "--config", str(cfg), "--data",
+                                    str(dataset), "--out", str(out)], capsys)
+        assert code == 2
+        assert re.search(r"diverged: loss is nan at epoch \d+, step \d+", err)
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

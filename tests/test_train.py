@@ -64,6 +64,25 @@ class TestSmoothLabels:
             with pytest.raises(ValueError):
                 smooth_labels(one_hot(0, 10), alpha, 10)
 
+    def test_batched_forms_match_stacked_rows(self):
+        labels = np.array([3, 0, 9, 3, 5])
+        batch = one_hot(labels, 10)
+        np.testing.assert_array_equal(batch, np.stack([one_hot(l, 10) for l in labels]))
+        for alpha in (0.0, 0.1, 0.3):
+            np.testing.assert_array_equal(
+                smooth_labels(batch, alpha, 10),
+                np.stack([smooth_labels(one_hot(l, 10), alpha, 10) for l in labels]))
+
+    def test_batch_with_one_bad_row_rejected(self):
+        labels = np.array([1, 2, 3])
+        batch = one_hot(labels, 10)
+        smooth_labels(batch, 0.1, 10)
+        batch[1, 4] = 1.0
+        with pytest.raises(ValueError, match="one-hot"):
+            smooth_labels(batch, 0.1, 10)
+        with pytest.raises(ValueError, match="label 10 out of range"):
+            one_hot(np.array([1, 10, 3]), 10)
+
 
 class TestCrossEntropy:
     def test_perfect_prediction_near_zero(self):
@@ -326,6 +345,31 @@ class TestTrainLoop:
             runs.append(final)
         for k in runs[0]:
             np.testing.assert_array_equal(runs[0][k], runs[1][k])
+
+    def test_loop_runs_the_tested_target_and_mixup_code(self, monkeypatch):
+        called = set()
+
+        def spy(name):
+            real = getattr(tr, name)
+
+            def wrapped(*args, **kwargs):
+                called.add(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("one_hot", "smooth_labels", "mixup"):
+            monkeypatch.setattr(tr, name, spy(name))
+        train_ds, eval_ds = self._tiny_data()
+        cfg = TrainConfig(epochs=1, batch_size=16, use_mixup=True, smoothing=0.1)
+        train(probe_net(4, 16, seed=2), train_ds, eval_ds, cfg)
+        assert called == {"one_hot", "smooth_labels", "mixup"}
+
+    def test_non_finite_loss_stops_the_run(self):
+        train_ds, eval_ds = self._tiny_data()
+        net = probe_net(4, 16, seed=2)
+        net.layers[-2].b[0] = np.nan
+        with pytest.raises(ValueError, match="epoch 1, step 1"):
+            train(net, train_ds, eval_ds, TrainConfig(epochs=2, batch_size=16))
 
     def test_seed_changes_weights(self):
         train_ds, eval_ds = self._tiny_data()

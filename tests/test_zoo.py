@@ -82,6 +82,17 @@ class TestBudgets:
             budget = PARAM_BUDGETS[name]
             assert abs(total - budget) / budget <= 0.02, name
 
+    def test_final_width_is_budget_optimum(self, monkeypatch):
+        # the count rises with the final width, so a width whose two
+        # neighbours are no closer to the budget is the closest of all
+        for name in ARCH_NAMES:
+            s1, s4 = zoo._WIDTHS[name]
+            budget = PARAM_BUDGETS[name]
+            best = abs(build(name).param_count() - budget)
+            for neighbour in (s4 - 1, s4 + 1):
+                monkeypatch.setitem(zoo._WIDTHS, name, (s1, neighbour))
+                assert abs(build(name).param_count() - budget) >= best, (name, neighbour)
+
     def test_pairs_within_4pct(self):
         for budget in ("140", "340", "590"):
             a, _ = count_params(build(f"custom{budget}_3x3"))
@@ -218,3 +229,12 @@ class TestModelFile:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
+
+    def test_non_finite_weights_refused(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            net = build("custom140_dw", seed=9)
+            net.layers[0].w.flat[3] = bad
+            path = tmp_path / "m.cnm"
+            with pytest.raises(ValueError, match="non-finite"):
+                save_model(net, path)
+            assert not path.exists()
