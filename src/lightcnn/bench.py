@@ -5,6 +5,8 @@ batch size ("batch") and at batch size 1 ("individual").  Both are medians
 over the measured iterations with 5th/95th percentiles recorded; medians
 resist scheduler noise better than means.  The timed region covers the
 forward pass only — input generation and network construction stay outside.
+Models compared together are timed in turn within every iteration, so a slow
+spell of the host falls on all of them alike instead of reordering them.
 """
 
 import os
@@ -85,22 +87,23 @@ def _pin_to_one_core():
     return previous
 
 
-def _timed_forward(network, x, warmup, iters):
+def _timed_forwards(networks, x, warmup, iters):
     for _ in range(warmup):
-        network.forward(x, train=False)
-    times = np.zeros(iters)
+        for net in networks:
+            net.forward(x, train=False)
+    times = np.zeros((len(networks), iters))
     for i in range(iters):
-        start = time.perf_counter()
-        network.forward(x, train=False)
-        times[i] = time.perf_counter() - start
-    ms = times * 1000.0
-    return LatencyStats(float(np.median(ms)),
-                        float(np.percentile(ms, 5)),
-                        float(np.percentile(ms, 95)))
+        for k, net in enumerate(networks):
+            start = time.perf_counter()
+            net.forward(x, train=False)
+            times[k, i] = time.perf_counter() - start
+    return [LatencyStats(float(np.median(ms)), float(np.percentile(ms, 5)),
+                         float(np.percentile(ms, 95)))
+            for ms in times * 1000.0]
 
 
-def measure(network: Network, config: BenchConfig):
-    """(batch latency, individual latency) as LatencyStats pairs."""
+def measure_all(networks: list[Network], config: BenchConfig):
+    """(batch latency, individual latency) LatencyStats pairs, one per network."""
     c, h, w = config.input_dims
     rng = Rng.derive(config.seed, 0xBE)
     dtype = tensor.default_dtype()
@@ -110,14 +113,19 @@ def measure(network: Network, config: BenchConfig):
 
     previous = _pin_to_one_core() if config.pin_core else None
     try:
-        batch = _timed_forward(network, x_batch, config.warmup_iters,
-                               config.measure_iters)
-        indiv = _timed_forward(network, x_one, config.warmup_iters,
-                               config.measure_iters)
+        batch = _timed_forwards(networks, x_batch, config.warmup_iters,
+                                config.measure_iters)
+        indiv = _timed_forwards(networks, x_one, config.warmup_iters,
+                                config.measure_iters)
     finally:
         if previous is not None:
             os.sched_setaffinity(0, previous)
-    return batch, indiv
+    return list(zip(batch, indiv))
+
+
+def measure(network: Network, config: BenchConfig):
+    """(batch latency, individual latency) as LatencyStats pairs."""
+    return measure_all([network], config)[0]
 
 
 def compare(models: list[Network], config: BenchConfig) -> BenchReport:
@@ -129,11 +137,8 @@ def compare(models: list[Network], config: BenchConfig) -> BenchReport:
     """
     if not models:
         raise ValueError("compare needs at least one model")
-    measured = []
-    for net in models:
-        params = net.param_count()
-        batch, indiv = measure(net, config)
-        measured.append((net.name, params, batch, indiv))
+    measured = [(net.name, net.param_count(), batch, indiv)
+                for net, (batch, indiv) in zip(models, measure_all(models, config))]
     ref_params, ref_indiv = max((p, ind.median_ms)
                                 for _, p, _, ind in measured)
     rows = [BenchRow(name, params, ref_params / params, batch, indiv,
