@@ -20,7 +20,8 @@ from . import tensor
 from .layers import Network
 from .tensor import Rng
 
-CSV_HEADER = "model,params,param_ratio,batch_ms,indiv_ms,speedup"
+CSV_HEADER = ("model,params,param_ratio,batch_ms,indiv_ms,speedup,"
+              "batch_p5,batch_p95,indiv_p5,indiv_p95")
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,12 @@ class BenchConfig:
 @dataclass
 class LatencyStats:
     median_ms: float
-    p5_ms: float | None = None
-    p95_ms: float | None = None
+    p5_ms: float
+    p95_ms: float
 
     def __post_init__(self):
-        if self.p5_ms is not None and self.p95_ms is not None:
-            if not self.p5_ms <= self.median_ms <= self.p95_ms:
-                raise ValueError(
-                    f"median {self.median_ms} outside [{self.p5_ms}, {self.p95_ms}]")
+        if not self.p5_ms <= self.median_ms <= self.p95_ms:
+            raise ValueError(f"median {self.median_ms} outside [{self.p5_ms}, {self.p95_ms}]")
 
 
 @dataclass
@@ -72,10 +71,6 @@ class BenchReport:
         self.rows = rows
         self.host = f"{platform.machine()} {platform.system()}"
         self.precision = np.dtype(tensor.default_dtype()).name
-
-    def has_percentiles(self) -> bool:
-        return all(r.batch.p5_ms is not None and r.indiv.p5_ms is not None
-                   for r in self.rows)
 
 
 def _pin_to_one_core():
@@ -123,11 +118,6 @@ def measure_all(networks: list[Network], config: BenchConfig):
     return list(zip(batch, indiv))
 
 
-def measure(network: Network, config: BenchConfig):
-    """(batch latency, individual latency) as LatencyStats pairs."""
-    return measure_all([network], config)[0]
-
-
 def compare(models: list[Network], config: BenchConfig) -> BenchReport:
     """Benchmark every model; ratio columns are relative to the largest one.
 
@@ -168,27 +158,18 @@ def _meta_lines(report, prefix):
 
 
 def _emit_csv(report: BenchReport) -> str:
-    lines = _meta_lines(report, "#")
-    pct = report.has_percentiles()
-    header = CSV_HEADER
-    if pct:
-        header += ",batch_p5,batch_p95,indiv_p5,indiv_p95"
-    lines.append(header)
+    lines = _meta_lines(report, "#") + [CSV_HEADER]
     for r in report.rows:
-        line = (f"{r.model},{r.params},{r.param_ratio:.3f},"
-                f"{r.batch.median_ms:.3f},{r.indiv.median_ms:.3f},{r.speedup:.3f}")
-        if pct:
-            line += (f",{r.batch.p5_ms:.3f},{r.batch.p95_ms:.3f},"
+        lines.append(f"{r.model},{r.params},{r.param_ratio:.3f},"
+                     f"{r.batch.median_ms:.3f},{r.indiv.median_ms:.3f},{r.speedup:.3f},"
+                     f"{r.batch.p5_ms:.3f},{r.batch.p95_ms:.3f},"
                      f"{r.indiv.p5_ms:.3f},{r.indiv.p95_ms:.3f}")
-        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def _emit_markdown(report: BenchReport) -> str:
-    pct = report.has_percentiles()
-    cols = ["model", "params", "param ratio", "batch ms", "indiv ms", "speedup"]
-    if pct:
-        cols += ["batch p5/p95", "indiv p5/p95"]
+    cols = ["model", "params", "param ratio", "batch ms", "indiv ms", "speedup",
+            "batch p5/p95", "indiv p5/p95"]
     lines = _meta_lines(report, ">")
     lines.append("")
     lines.append("| " + " | ".join(cols) + " |")
@@ -196,9 +177,7 @@ def _emit_markdown(report: BenchReport) -> str:
     for r in report.rows:
         cells = [r.model, f"{r.params:,}", f"{r.param_ratio:.2f}x",
                  f"{r.batch.median_ms:.3f}", f"{r.indiv.median_ms:.3f}",
-                 f"{r.speedup:.2f}x"]
-        if pct:
-            cells.append(f"{r.batch.p5_ms:.3f}/{r.batch.p95_ms:.3f}")
-            cells.append(f"{r.indiv.p5_ms:.3f}/{r.indiv.p95_ms:.3f}")
+                 f"{r.speedup:.2f}x", f"{r.batch.p5_ms:.3f}/{r.batch.p95_ms:.3f}",
+                 f"{r.indiv.p5_ms:.3f}/{r.indiv.p95_ms:.3f}"]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

@@ -152,6 +152,8 @@ def cmd_synth(args) -> int:
         raise UsageError("--classes must be >= 2")
     if args.per_class < 1:
         raise UsageError("--per-class must be >= 1")
+    if args.size < 1:
+        raise UsageError("--size must be >= 1")
     ds = data_mod.synth(args.classes, args.per_class, dims=args.size,
                         seed=args.seed)
     try:
@@ -278,13 +280,13 @@ def cmd_bench(args) -> int:
     if not names:
         raise UsageError("--archs gave no architecture names")
     try:
+        config = bench_mod.BenchConfig(batch_size=args.batch,
+                                       warmup_iters=args.warmup,
+                                       measure_iters=args.iters,
+                                       pin_core=args.pin, seed=args.seed)
         models = [zoo.build(name, seed=args.seed) for name in names]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    config = bench_mod.BenchConfig(batch_size=args.batch,
-                                   warmup_iters=args.warmup,
-                                   measure_iters=args.iters,
-                                   pin_core=args.pin, seed=args.seed)
     report = bench_mod.compare(models, config)
     print(bench_mod.emit(report, args.format), end="")
     return EXIT_OK

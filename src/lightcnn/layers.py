@@ -8,9 +8,12 @@ channel gating, a dense classifier head, and softmax.
 
 Activations are NCHW rank-4 arrays throughout; the dense head and softmax
 keep the convention with trailing 1x1 spatial dims.  Convolutions are
-cross-correlations with "same" padding (pad=1) computed on the im2col +
-matmul path; a direct-loop oracle lives in the test suite.  Backward passes
-are hand-written per layer and validated against central finite differences.
+cross-correlations with "same" padding (pad=1); a direct-loop oracle lives in
+the test suite.  Two kernels are shared: the channel GEMM (``_pointwise_*``),
+which the 1x1 stages and the 3x3 convolution (on its im2col matrix) run, and
+the 3x3 tap walk (``_taps``), which the depth-wise stage, the im2col adjoint
+and blur pooling step through at their stride.  Backward passes are
+hand-written per layer and validated against central finite differences.
 """
 
 from __future__ import annotations
@@ -102,19 +105,12 @@ class Layer:
         return self._grads
 
     def param_count(self) -> int:
-        """Closed-form trainable parameter count for this layer."""
-        return 0
+        return sum(p.size for p in self.params().values())
 
     def _require_cache(self):
         if self._cache is None:
             raise RuntimeError(f"{self.spec.kind}: backward called before forward")
         return self._cache
-
-    def _verify_count(self):
-        actual = sum(p.size for p in self.params().values())
-        assert actual == self.param_count(), (
-            f"{self.spec.kind}: param count formula {self.param_count()} != actual {actual}"
-        )
 
 
 def _he_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -144,17 +140,36 @@ def _im2col3(x: np.ndarray, stride: int) -> tuple[np.ndarray, int, int]:
     return cols, oh, ow
 
 
+def _taps(stride: int, oh: int, ow: int):
+    """The nine (u, v) taps of a 3x3 window, each with the rows and columns of
+    a pad-1 input it reads for an (oh, ow) output taken at this stride."""
+    for u in range(3):
+        for v in range(3):
+            yield u, v, slice(u, u + stride * oh, stride), slice(v, v + stride * ow, stride)
+
+
 def _fold_cols3(dcols: np.ndarray, x_shape, stride: int, oh: int, ow: int) -> np.ndarray:
     """Adjoint of _im2col3: scatter column gradients back onto the input."""
     n, c, h, w = x_shape
     dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
     dc = dcols.reshape(c, 3, 3, n, oh, ow)
-    for u in range(3):
-        for v in range(3):
-            dxp[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += (
-                dc[:, u, v].transpose(1, 0, 2, 3)
-            )
+    for u, v, rows, cols in _taps(stride, oh, ow):
+        dxp[:, :, rows, cols] += dc[:, u, v].transpose(1, 0, 2, 3)
     return dxp[:, :, 1 : h + 1, 1 : w + 1]
+
+
+def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out_nhw):
+    """Channel GEMM over a (K, N*H*W) input matrix (1x1 input or im2col); returns NCHW."""
+    out = w @ xm
+    out += b[:, None]
+    n, h, w_ = out_nhw
+    return np.ascontiguousarray(out.reshape(w.shape[0], n, h, w_).transpose(1, 0, 2, 3))
+
+
+def _pointwise_backward(grad_out: np.ndarray, xm: np.ndarray, w: np.ndarray):
+    """Gradients of _pointwise_forward; the input gradient comes back (K, N*H*W)."""
+    gmat = grad_out.transpose(1, 0, 2, 3).reshape(grad_out.shape[1], -1)
+    return w.T @ gmat, gmat @ xm.T, gmat.sum(axis=1)
 
 
 class Conv3x3(Layer):
@@ -165,55 +180,28 @@ class Conv3x3(Layer):
         cin, cout = spec.in_channels, spec.out_channels
         self.w = _he_init(rng, (cout, cin, 3, 3), 9 * cin)
         self.b = np.zeros(cout, dtype=default_dtype())
-        self._verify_count()
 
     def params(self):
         return {"w": self.w, "b": self.b}
-
-    def param_count(self):
-        return 9 * self.spec.in_channels * self.spec.out_channels + self.spec.out_channels
 
     def forward(self, x, train=True):
         if x.shape[1] != self.spec.in_channels:
             raise ValueError(
                 f"conv3: expected {self.spec.in_channels} input channels, got {x.shape[1]}"
             )
-        n = x.shape[0]
         cols, oh, ow = _im2col3(x, self.spec.stride)
-        wmat = self.w.reshape(self.spec.out_channels, -1)
-        out = wmat @ cols
-        out += self.b[:, None]
-        out = np.ascontiguousarray(
-            out.reshape(self.spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
-        )
+        out = _pointwise_forward(cols, self.w.reshape(self.spec.out_channels, -1), self.b,
+                                 (x.shape[0], oh, ow))
         if train:
             self._cache = (cols, x.shape, oh, ow)
         return out
 
     def backward(self, grad_out):
         cols, x_shape, oh, ow = self._require_cache()
-        cout = self.spec.out_channels
-        gmat = grad_out.transpose(1, 0, 2, 3).reshape(cout, -1)
-        self._grads = {
-            "w": (gmat @ cols.T).reshape(self.w.shape),
-            "b": gmat.sum(axis=1),
-        }
-        dcols = self.w.reshape(cout, -1).T @ gmat
+        dcols, dw, db = _pointwise_backward(grad_out, cols,
+                                            self.w.reshape(self.spec.out_channels, -1))
+        self._grads = {"w": dw.reshape(self.w.shape), "b": db}
         return _fold_cols3(dcols, x_shape, self.spec.stride, oh, ow)
-
-
-def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out_nhw):
-    """1x1 conv: one GEMM over the (C_in, N*H*W) input matrix; returns NCHW."""
-    out = w @ xm
-    out += b[:, None]
-    n, h, w_ = out_nhw
-    return np.ascontiguousarray(out.reshape(w.shape[0], n, h, w_).transpose(1, 0, 2, 3))
-
-
-def _pointwise_backward(grad_out: np.ndarray, xm: np.ndarray, w: np.ndarray):
-    """Gradients of _pointwise_forward; the input gradient comes back (C_in, N*H*W)."""
-    gmat = grad_out.transpose(1, 0, 2, 3).reshape(grad_out.shape[1], -1)
-    return w.T @ gmat, gmat @ xm.T, gmat.sum(axis=1)
 
 
 class DepthwiseSeparable(Layer):
@@ -233,21 +221,9 @@ class DepthwiseSeparable(Layer):
         self.dw_b = np.zeros(cin, dtype=default_dtype())
         self.pw_w = _he_init(rng, (cout, cin), cin)
         self.pw_b = np.zeros(cout, dtype=default_dtype())
-        self._verify_count()
 
     def params(self):
         return {"dw_w": self.dw_w, "dw_b": self.dw_b, "pw_w": self.pw_w, "pw_b": self.pw_b}
-
-    def param_count(self):
-        cin, cout = self.spec.in_channels, self.spec.out_channels
-        return 9 * cin + cin + cin * cout + cout
-
-    def _taps(self, oh: int, ow: int):
-        """The nine (u, v) kernel taps with their window into the padded buffer."""
-        s = self.spec.stride
-        for u in range(3):
-            for v in range(3):
-                yield u, v, (slice(None), slice(u, u + s * oh, s), slice(v, v + s * ow, s))
 
     def _row_taps(self, ow: int) -> np.ndarray:
         """dw_w as (3, 3, ow, c): each tap's channel vector repeated along an
@@ -266,8 +242,8 @@ class DepthwiseSeparable(Layer):
         xp[:, 1 : h + 1, 1 : w + 1] = x.transpose(0, 2, 3, 1)
         k = self._row_taps(ow)
         mid = np.zeros((n, oh, ow, c), dtype=x.dtype)
-        for u, v, win in self._taps(oh, ow):
-            mid += xp[win] * k[u, v]
+        for u, v, rows, cols in _taps(self.spec.stride, oh, ow):
+            mid += xp[:, rows, cols] * k[u, v]
         mid += self.dw_b
         # the GEMM reads a (C, N*H*W) copy, as in PointwiseConv: given the
         # transposed view instead, BLAS rounds differently at small batches
@@ -286,9 +262,9 @@ class DepthwiseSeparable(Layer):
         k = self._row_taps(ow)
         ddw_w = np.empty((3, 3, c), dtype=self.dw_w.dtype)
         dxp = np.zeros_like(xp)
-        for u, v, win in self._taps(oh, ow):
-            ddw_w[u, v] = np.einsum("nijc,nijc->c", dmid, xp[win])
-            dxp[win] += dmid * k[u, v]
+        for u, v, rows, cols in _taps(self.spec.stride, oh, ow):
+            ddw_w[u, v] = np.einsum("nijc,nijc->c", dmid, xp[:, rows, cols])
+            dxp[:, rows, cols] += dmid * k[u, v]
         self._grads = {
             "dw_w": np.ascontiguousarray(ddw_w.transpose(2, 0, 1)),
             "dw_b": np.einsum("nijc->c", dmid),
@@ -306,13 +282,9 @@ class PointwiseConv(Layer):
         cin, cout = spec.in_channels, spec.out_channels
         self.w = _he_init(rng, (cout, cin), cin)
         self.b = np.zeros(cout, dtype=default_dtype())
-        self._verify_count()
 
     def params(self):
         return {"w": self.w, "b": self.b}
-
-    def param_count(self):
-        return self.spec.in_channels * self.spec.out_channels + self.spec.out_channels
 
     def forward(self, x, train=True):
         if x.shape[1] != self.spec.in_channels:
@@ -385,7 +357,8 @@ class MaxPool2(Layer):
 
 
 class BlurPool2(Layer):
-    """Binomial 3x3 blur (reflect padding) followed by stride-2 subsampling."""
+    """Binomial 3x3 blur (reflect padding) evaluated only at the kept
+    stride-2 outputs; backward scatters only from them."""
 
     def forward(self, x, train=True):
         n, c, h, w = x.shape
@@ -393,11 +366,10 @@ class BlurPool2(Layer):
             raise ValueError(f"blurpool2 needs h, w >= 2, got {h}x{w}")
         k = BLUR_KERNEL.astype(x.dtype)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-        blur = np.zeros((n, c, h, w), dtype=x.dtype)
-        for u in range(3):
-            for v in range(3):
-                blur += k[u, v] * xp[:, :, u : u + h, v : v + w]
-        out = np.ascontiguousarray(blur[:, :, ::2, ::2])
+        oh, ow = _conv_out_hw(h, w, 2)
+        out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+        for u, v, rows, cols in _taps(2, oh, ow):
+            out += k[u, v] * xp[:, :, rows, cols]
         if train:
             self._cache = x.shape
         return out
@@ -405,12 +377,9 @@ class BlurPool2(Layer):
     def backward(self, grad_out):
         n, c, h, w = self._require_cache()
         k = BLUR_KERNEL.astype(grad_out.dtype)
-        dblur = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-        dblur[:, :, ::2, ::2] = grad_out
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=grad_out.dtype)
-        for u in range(3):
-            for v in range(3):
-                dxp[:, :, u : u + h, v : v + w] += k[u, v] * dblur
+        for u, v, rows, cols in _taps(2, *grad_out.shape[2:]):
+            dxp[:, :, rows, cols] += k[u, v] * grad_out
         # adjoint of the reflect padding: fold pad rows/cols onto their sources
         dq = dxp[:, :, :, 1 : w + 1].copy()
         dq[:, :, :, 1] += dxp[:, :, :, 0]
@@ -440,19 +409,13 @@ class SqueezeExcite(Layer):
         super().__init__(spec)
         c = spec.in_channels
         hidden = max(1, c // spec.se_reduction)
-        self.hidden = hidden
         self.w1 = _he_init(rng, (hidden, c), c)
         self.b1 = np.zeros(hidden, dtype=default_dtype())
         self.w2 = _he_init(rng, (c, hidden), hidden)
         self.b2 = np.zeros(c, dtype=default_dtype())
-        self._verify_count()
 
     def params(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def param_count(self):
-        c, hdn = self.spec.in_channels, self.hidden
-        return c * hdn + hdn + hdn * c + c
 
     def forward(self, x, train=True):
         if x.shape[1] != self.spec.in_channels:
@@ -496,13 +459,9 @@ class Dense(Layer):
         super().__init__(spec)
         self.w = _he_init(rng, (spec.out_channels, spec.in_channels), spec.in_channels)
         self.b = np.zeros(spec.out_channels, dtype=default_dtype())
-        self._verify_count()
 
     def params(self):
         return {"w": self.w, "b": self.b}
-
-    def param_count(self):
-        return self.spec.in_channels * self.spec.out_channels + self.spec.out_channels
 
     def forward(self, x, train=True):
         n = x.shape[0]

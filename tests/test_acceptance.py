@@ -245,6 +245,7 @@ def _smoke_training_run():
     return report, params
 
 
+@pytest.mark.slow
 def test_criterion_06_smoke_training_determinism():
     assert os.environ.get("OMP_NUM_THREADS") == "1", "thread pinning lost"
     t0 = time.perf_counter()
@@ -340,6 +341,7 @@ def _final_eval_acc(report_path):
     return float(lines[-1].split(",")[3]), len(lines) - 1
 
 
+@pytest.mark.slow
 def test_criterion_09_augmentation_pair(tmp_path, capsys):
     t0 = time.perf_counter()
     ds_path = tmp_path / "digits.cds"

@@ -7,7 +7,7 @@ import pytest
 from lightcnn import bench, zoo
 from lightcnn.bench import (
     BenchConfig, BenchReport, BenchRow, LatencyStats, CSV_HEADER,
-    measure, compare, emit,
+    measure_all, compare, emit,
 )
 from lightcnn.layers import LayerSpec, Network, make_layer, CONV3, GAP, DENSE, SOFTMAX
 from lightcnn.tensor import Rng
@@ -46,29 +46,25 @@ class TestStats:
             LatencyStats(5.0, p5_ms=6.0, p95_ms=7.0)
         LatencyStats(5.0, p5_ms=4.0, p95_ms=7.0)  # fine
 
-    def test_percentiles_optional(self):
-        s = LatencyStats(5.0)
-        assert s.p5_ms is None
-
 
 class TestMeasure:
     def test_returns_ordered_stats(self):
-        batch, indiv = measure(tiny_net(), FAST)
+        batch, indiv = measure_all([tiny_net()], FAST)[0]
         for s in (batch, indiv):
             assert s.p5_ms <= s.median_ms <= s.p95_ms
             assert s.median_ms > 0.0
 
     def test_individual_not_slower_than_batch(self):
         # one image is an eighth of the work of a batch of eight
-        batch, indiv = measure(tiny_net(width=16), FAST)
+        batch, indiv = measure_all([tiny_net(width=16)], FAST)[0]
         assert indiv.median_ms <= batch.median_ms
 
     def test_consecutive_runs_close(self):
         # stability contract: medians from two identical runs within 25%
         cfg = BenchConfig(batch_size=8, warmup_iters=3, measure_iters=31)
         net = tiny_net(width=16)
-        a, _ = measure(net, cfg)
-        b, _ = measure(net, cfg)
+        a, _ = measure_all([net], cfg)[0]
+        b, _ = measure_all([net], cfg)[0]
         assert abs(a.median_ms - b.median_ms) <= 0.25 * max(a.median_ms,
                                                             b.median_ms)
 
@@ -100,9 +96,9 @@ class TestCompare:
 
 
 class TestEmit:
-    def _report(self, pct=True):
+    def _report(self):
         def stats(m):
-            return LatencyStats(m, m * 0.9, m * 1.2) if pct else LatencyStats(m)
+            return LatencyStats(m, m * 0.9, m * 1.2)
         rows = [
             BenchRow("net_a", 1000, 2.0, stats(1.0), stats(0.5), 2.0),
             BenchRow("net_b", 2000, 1.0, stats(2.0), stats(1.0), 1.0),
@@ -110,14 +106,10 @@ class TestEmit:
         return BenchReport(BenchConfig(), rows)
 
     def test_csv_header_exact(self):
-        text = emit(self._report(pct=False), "csv")
+        text = emit(self._report(), "csv")
         rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert rows[0] == CSV_HEADER
-
-    def test_csv_percentile_columns_appended(self):
-        text = emit(self._report(pct=True), "csv")
-        rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert rows[0] == CSV_HEADER + ",batch_p5,batch_p95,indiv_p5,indiv_p95"
+        assert rows[0] == CSV_HEADER == ("model,params,param_ratio,batch_ms,indiv_ms,speedup,"
+                                         "batch_p5,batch_p95,indiv_p5,indiv_p95")
 
     def test_csv_parses_cleanly(self):
         text = emit(self._report(), "csv")
@@ -142,12 +134,7 @@ class TestEmit:
         text = emit(self._report(), "markdown")
         table = [l for l in text.splitlines() if l.startswith("|")]
         assert len(table) == 2 + 2  # header + separator + one row per model
-
-    def test_markdown_omits_percentiles_consistently(self):
-        with_pct = emit(self._report(True), "markdown")
-        without = emit(self._report(False), "markdown")
-        assert "p5/p95" in with_pct
-        assert "p5/p95" not in without
+        assert table[0].endswith("| batch p5/p95 | indiv p5/p95 |")
 
     def test_meta_header_present(self):
         text = emit(self._report(), "csv")

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +323,20 @@ class TestTopLevel:
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = run_cli(["dance"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--archs", "custom140_dw", "--batch", "0"],
+        ["bench", "--archs", "custom140_dw", "--iters", "0"],
+        ["bench", "--archs", "custom140_dw", "--warmup", "-1"],
+        ["synth", "--size", "0", "--out", "x.cds"],
+    ])
+    def test_bad_number_one_error_line(self, tmp_path, argv):
+        # a real process, so an uncaught exception would show its traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "lightcnn.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert not (tmp_path / "x.cds").exists()

@@ -87,10 +87,11 @@ class TestLayerGradients:
             _check_layer(_make(MAXPOOL2, 2, 2, 1, seed), _input(rng, 2, 2, 5, 5))
 
     def test_blurpool(self, f64):
-        for seed in range(5):
+        # odd and even squares, then non-square down to the smallest legal 2x3
+        shapes = [(5 + seed % 2,) * 2 for seed in range(5)] + [(5, 6), (2, 3)]
+        for seed, (h, w) in enumerate(shapes):
             rng = Rng(6000 + seed)
-            h = 5 + seed % 2
-            _check_layer(_make(BLURPOOL2, 2, 2, 1, seed), _input(rng, 2, 2, h, h))
+            _check_layer(_make(BLURPOOL2, 2, 2, 1, seed), _input(rng, 2, 2, h, w))
 
     def test_gap(self, f64):
         for seed in range(5):
