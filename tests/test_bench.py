@@ -111,6 +111,14 @@ class TestEmit:
         assert rows[0] == CSV_HEADER == ("model,params,param_ratio,batch_ms,indiv_ms,speedup,"
                                          "batch_p5,batch_p95,indiv_p5,indiv_p95")
 
+    def test_csv_percentile_columns_appended(self):
+        text = emit(self._report(), "csv")
+        body = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
+        assert body[0][6:] == ["batch_p5", "batch_p95", "indiv_p5", "indiv_p95"]
+        for r in body[1:]:
+            assert float(r[6]) <= float(r[3]) <= float(r[7])  # batch band
+            assert float(r[8]) <= float(r[4]) <= float(r[9])  # indiv band
+
     def test_csv_parses_cleanly(self):
         text = emit(self._report(), "csv")
         body = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
