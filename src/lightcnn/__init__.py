@@ -1,7 +1,7 @@
 """Lightweight CNN training/inference engine and CPU latency benchmark harness.
 
 Submodules:
-    tensor   -- precision/debug modes, deterministic RNG
+    tensor   -- precision mode, counter-based RNG
     layers   -- forward/backward layer implementations and the Network container
     augment  -- seedable image augmentations (flips, rotation, cutout, mixup, ...)
     train    -- losses, SGD, stochastic weight averaging, training loop

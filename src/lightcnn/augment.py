@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import _blur3
 from .tensor import Rng
 
 HFLIP = "hflip"
@@ -75,6 +76,15 @@ def _reflect_indices(idx, n):
     return np.where(m >= n, period - m, m)
 
 
+def _blend4(plane, ya, yb, xa, xb, fy, fx):
+    """Bilinear blend of the neighbours at rows ya/yb and columns xa/xb,
+    weighted by the fractions fy and fx (index arrays broadcast together)."""
+    return (plane[ya, xa] * (1 - fy) * (1 - fx)
+            + plane[ya, xb] * (1 - fy) * fx
+            + plane[yb, xa] * fy * (1 - fx)
+            + plane[yb, xb] * fy * fx)
+
+
 def warp_affine(image, angle=0.0, scale=1.0, shift=(0.0, 0.0)):
     """Rotate/scale/shift about the image centre with bilinear sampling.
 
@@ -100,20 +110,11 @@ def warp_affine(image, angle=0.0, scale=1.0, shift=(0.0, 0.0)):
 
     y0 = np.floor(src_y).astype(np.int64)
     x0 = np.floor(src_x).astype(np.int64)
-    fy = src_y - y0
-    fx = src_x - x0
-    ya = _reflect_indices(y0, h)
-    yb = _reflect_indices(y0 + 1, h)
-    xa = _reflect_indices(x0, w)
-    xb = _reflect_indices(x0 + 1, w)
-
-    plane = image[0, 0].astype(np.float64)
-    out = (plane[ya, xa] * (1 - fy) * (1 - fx)
-           + plane[ya, xb] * (1 - fy) * fx
-           + plane[yb, xa] * fy * (1 - fx)
-           + plane[yb, xb] * fy * fx)
-    out = np.clip(out, 0.0, 1.0)
-    return out[None, None].astype(image.dtype)
+    out = _blend4(image[0, 0].astype(np.float64),
+                  _reflect_indices(y0, h), _reflect_indices(y0 + 1, h),
+                  _reflect_indices(x0, w), _reflect_indices(x0 + 1, w),
+                  src_y - y0, src_x - x0)
+    return np.clip(out, 0.0, 1.0)[None, None].astype(image.dtype)
 
 
 def resize_bilinear(plane, oh, ow):
@@ -121,16 +122,10 @@ def resize_bilinear(plane, oh, ow):
     h, w = plane.shape
     ys = np.linspace(0.0, h - 1.0, oh)
     xs = np.linspace(0.0, w - 1.0, ow)
-    y0 = np.floor(ys).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)[:, None]
     x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    return (plane[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-            + plane[np.ix_(y0, x1)] * (1 - fy) * fx
-            + plane[np.ix_(y1, x0)] * fy * (1 - fx)
-            + plane[np.ix_(y1, x1)] * fy * fx)
+    return _blend4(plane, y0, np.minimum(y0 + 1, h - 1), x0,
+                   np.minimum(x0 + 1, w - 1), ys[:, None] - y0, xs - x0)
 
 
 def _gaussian_blur3(image, sigma):
@@ -138,14 +133,8 @@ def _gaussian_blur3(image, sigma):
     k1 = np.exp(-np.array([1.0, 0.0, 1.0]) / (2.0 * sigma * sigma))
     kernel = np.outer(k1, k1)
     kernel /= kernel.sum()
-    plane = image[0, 0].astype(np.float64)
-    padded = np.pad(plane, 1, mode="reflect")
-    h, w = plane.shape
-    out = np.zeros_like(plane)
-    for u in range(3):
-        for v in range(3):
-            out += kernel[u, v] * padded[u:u + h, v:v + w]
-    return np.clip(out, 0.0, 1.0)[None, None].astype(image.dtype)
+    out = _blur3(image.astype(np.float64), kernel, 1)
+    return np.clip(out, 0.0, 1.0).astype(image.dtype)
 
 
 def apply(op: AugmentOp, image: np.ndarray, rng: Rng) -> np.ndarray:

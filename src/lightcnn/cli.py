@@ -147,13 +147,15 @@ def _augment_dict(cfg: dict) -> dict:
 
 # ------------------------------------------------------------- commands
 
+def _require_min(args, **minimums) -> None:
+    """Reject the first numeric flag below its minimum, naming the flag."""
+    for name, low in minimums.items():
+        if getattr(args, name) < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}")
+
+
 def cmd_synth(args) -> int:
-    if args.classes < 2:
-        raise UsageError("--classes must be >= 2")
-    if args.per_class < 1:
-        raise UsageError("--per-class must be >= 1")
-    if args.size < 1:
-        raise UsageError("--size must be >= 1")
+    _require_min(args, classes=2, per_class=1, size=1)
     ds = data_mod.synth(args.classes, args.per_class, dims=args.size,
                         seed=args.seed)
     try:
@@ -279,6 +281,7 @@ def cmd_bench(args) -> int:
         a.strip() for a in args.archs.split(",") if a.strip()]
     if not names:
         raise UsageError("--archs gave no architecture names")
+    _require_min(args, batch=1, warmup=0, iters=1)
     try:
         config = bench_mod.BenchConfig(batch_size=args.batch,
                                        warmup_iters=args.warmup,

@@ -12,7 +12,8 @@ cross-correlations with "same" padding (pad=1); a direct-loop oracle lives in
 the test suite.  Two kernels are shared: the channel GEMM (``_pointwise_*``),
 which the 1x1 stages and the 3x3 convolution (on its im2col matrix) run, and
 the 3x3 tap walk (``_taps``), which the depth-wise stage, the im2col adjoint
-and blur pooling step through at their stride.  Backward passes are
+and the reflect-padded blur (``_blur3``: blur pooling and the augmentation
+blur) step through at their stride.  Backward passes are
 hand-written per layer and validated against central finite differences.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Rng, check_finite, default_dtype
+from .tensor import Rng, default_dtype
 
 CONV3 = "conv3"
 CONV_DW = "conv_dw"
@@ -146,6 +147,18 @@ def _taps(stride: int, oh: int, ow: int):
     for u in range(3):
         for v in range(3):
             yield u, v, slice(u, u + stride * oh, stride), slice(v, v + stride * ow, stride)
+
+
+def _blur3(x: np.ndarray, k: np.ndarray, stride: int) -> np.ndarray:
+    """Reflect-padded 3x3 stencil: the sum of k[u, v] times each tap's view,
+    taken at this stride."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    oh, ow = _conv_out_hw(h, w, stride)
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    for u, v, rows, cols in _taps(stride, oh, ow):
+        out += k[u, v] * xp[:, :, rows, cols]
+    return out
 
 
 def _fold_cols3(dcols: np.ndarray, x_shape, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -361,15 +374,10 @@ class BlurPool2(Layer):
     stride-2 outputs; backward scatters only from them."""
 
     def forward(self, x, train=True):
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h < 2 or w < 2:
             raise ValueError(f"blurpool2 needs h, w >= 2, got {h}x{w}")
-        k = BLUR_KERNEL.astype(x.dtype)
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-        oh, ow = _conv_out_hw(h, w, 2)
-        out = np.zeros((n, c, oh, ow), dtype=x.dtype)
-        for u, v, rows, cols in _taps(2, oh, ow):
-            out += k[u, v] * xp[:, :, rows, cols]
+        out = _blur3(x, BLUR_KERNEL.astype(x.dtype), 2)
         if train:
             self._cache = x.shape
         return out
@@ -541,7 +549,6 @@ class Network:
         self._check_input(x)
         for layer in self.layers:
             x = layer.forward(x, train=train)
-            check_finite(x, f"{layer.spec.kind} output")
         return x
 
     def forward_logits(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -549,14 +556,12 @@ class Network:
         self._check_input(x)
         for layer in self._logit_layers():
             x = layer.forward(x, train=train)
-            check_finite(x, f"{layer.spec.kind} output")
         return x
 
     def backward_from_logits(self, dlogits: np.ndarray) -> np.ndarray:
         grad = dlogits
         for layer in reversed(self._logit_layers()):
             grad = layer.backward(grad)
-            check_finite(grad, f"{layer.spec.kind} input gradient")
         return grad
 
     def _logit_layers(self) -> list[Layer]:

@@ -1,11 +1,10 @@
-"""Precision and debug modes, and a deterministic RNG.
+"""Precision mode and a deterministic RNG.
 
 Activations, weights and gradients are plain numpy arrays; this module holds
-the process-wide settings the rest of the engine reads: a switchable default
+the process-wide setting the rest of the engine reads: a switchable default
 precision (float64 for gradient checking, float32 for training and
-benchmarking), optional NaN/Inf detection, and a counter-based random
-generator that produces bit-identical streams for a given seed on every
-platform.
+benchmarking), and a counter-based random generator that produces
+bit-identical streams for a given seed on every platform.
 """
 
 from __future__ import annotations
@@ -18,27 +17,11 @@ import numpy as np
 __all__ = [
     "default_dtype",
     "using_dtype",
-    "debug_enabled",
-    "using_debug",
-    "check_finite",
     "Rng",
 ]
 
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
-_state = {"dtype": np.float32, "debug": False}
-
-
-def _resolve_dtype(dtype):
-    if dtype is None:
-        return _state["dtype"]
-    if isinstance(dtype, str):
-        if dtype not in _DTYPE_NAMES:
-            raise ValueError(f"unsupported dtype {dtype!r}; use 'float32' or 'float64'")
-        return _DTYPE_NAMES[dtype]
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    return dt.type
+_state = {"dtype": np.float32}
 
 
 def default_dtype():
@@ -47,35 +30,16 @@ def default_dtype():
 
 
 @contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default precision (e.g. float64 for checks)."""
+def using_dtype(dtype: str):
+    """Temporarily switch the default precision: "float32" or "float64"."""
+    if dtype not in _DTYPE_NAMES:
+        raise ValueError(f"unsupported dtype {dtype!r}; use 'float32' or 'float64'")
     prev = _state["dtype"]
-    _state["dtype"] = _resolve_dtype(dtype)
+    _state["dtype"] = _DTYPE_NAMES[dtype]
     try:
         yield
     finally:
         _state["dtype"] = prev
-
-
-def debug_enabled() -> bool:
-    return _state["debug"]
-
-
-@contextmanager
-def using_debug(flag: bool = True):
-    """Temporarily toggle NaN/Inf detection after layer operations (slow)."""
-    prev = _state["debug"]
-    _state["debug"] = bool(flag)
-    try:
-        yield
-    finally:
-        _state["debug"] = prev
-
-
-def check_finite(arr: np.ndarray, what: str = "value") -> None:
-    """In debug mode, raise if ``arr`` contains NaN or Inf."""
-    if _state["debug"] and not np.isfinite(arr).all():
-        raise FloatingPointError(f"non-finite values in {what}")
 
 
 # ---------------------------------------------------------------------------

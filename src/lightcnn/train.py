@@ -11,7 +11,6 @@ with an error instead of training on.
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,10 @@ from .layers import Network, softmax_rows
 from .tensor import Rng
 
 LOG_FLOOR = 1e-12
+
+
+class NonFiniteLoss(ValueError):
+    """A loss that is not finite: the network's outputs overflowed."""
 
 
 # ------------------------------------------------------------------- losses
@@ -58,8 +61,8 @@ def cross_entropy(y: np.ndarray, y_pred: np.ndarray):
 
     Accepts a single (K,) pair or a batch (n, K); batches return the mean
     loss and the gradient already divided by n.  The fused softmax gradient
-    is simply y_pred - y.  Predictions below the log floor are clamped
-    (warned about in debug mode) so the loss stays finite.
+    is simply y_pred - y.  Predictions below the log floor are clamped, so
+    the loss is finite unless a prediction is NaN.
     """
     y = np.asarray(y, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -69,8 +72,6 @@ def cross_entropy(y: np.ndarray, y_pred: np.ndarray):
     if squeeze:
         y = y[None]
         y_pred = y_pred[None]
-    if np.any((y_pred <= LOG_FLOOR) & (y > 0.0)) and tensor.debug_enabled():
-        warnings.warn("cross_entropy: prediction at log floor for a true class")
     n = y.shape[0]
     loss = float(-(y * np.log(np.maximum(y_pred, LOG_FLOOR))).sum() / n)
     grad = (y_pred - y) / n
@@ -252,9 +253,7 @@ def train(network: Network, train_ds: Dataset, eval_ds: Dataset,
             probs = softmax_rows(logits.astype(np.float64))
             loss, dlogits = cross_entropy(y, probs)
             if not math.isfinite(loss):
-                raise ValueError(
-                    f"training diverged: loss is {loss} at epoch {epoch + 1}, "
-                    f"step {b_start // config.batch_size + 1}")
+                raise _diverged(loss, epoch, b_start // config.batch_size + 1)
             network.backward_from_logits(
                 dlogits.reshape(b, num_classes, 1, 1).astype(dtype))
             optimizer.step(network.params(), network.grads(), lr)
@@ -265,7 +264,10 @@ def train(network: Network, train_ds: Dataset, eval_ds: Dataset,
             correct += int((logits.argmax(axis=1) == y.argmax(axis=1)).sum())
             seen += b
 
-        eval_acc, _, _ = evaluate(network, eval_ds)
+        try:
+            eval_acc, _, _ = evaluate(network, eval_ds)
+        except NonFiniteLoss as exc:
+            raise _diverged(math.nan, epoch, -(-n // config.batch_size)) from exc
         # report rows and the SWA start rule count epochs from 1, so a
         # 2-epoch run ends with "epoch 2" and start_epoch=2 still fires
         if swa is not None:
@@ -280,11 +282,17 @@ def train(network: Network, train_ds: Dataset, eval_ds: Dataset,
     return report, final, swa_params
 
 
+def _diverged(loss: float, epoch: int, step: int) -> ValueError:
+    return ValueError(f"training diverged: loss is {loss} at epoch {epoch + 1}, "
+                      f"step {step}")
+
+
 def evaluate(network: Network, ds: Dataset, batch_size: int = 256):
     """Clean-pass metrics: (accuracy, per-class accuracy, mean loss).
 
     Predictions are argmax over softmax outputs; ties resolve to the lowest
-    class index (numpy argmax order).
+    class index (numpy argmax order).  A batch whose outputs are not finite
+    raises NonFiniteLoss (a ValueError) naming its images.
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -304,6 +312,9 @@ def evaluate(network: Network, ds: Dataset, batch_size: int = 256):
         logits = network.forward_logits(x, train=False).reshape(b, num_classes)
         probs = softmax_rows(logits.astype(np.float64))
         loss, _ = cross_entropy(one_hot(labels, num_classes), probs)
+        if not math.isfinite(loss):
+            raise NonFiniteLoss(f"model outputs are not finite on images "
+                                f"{start}..{start + b - 1} (loss is {loss})")
         loss_sum += loss * b
         pred = probs.argmax(axis=1)
         for c in range(num_classes):

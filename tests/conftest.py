@@ -18,14 +18,8 @@ from lightcnn import tensor  # noqa: E402
 
 @pytest.fixture
 def f64():
-    """Run a test in float64 mode with NaN/Inf checking on."""
-    with tensor.using_dtype("float64"), tensor.using_debug(True):
-        yield
-
-
-@pytest.fixture
-def f32():
-    with tensor.using_dtype("float32"):
+    """Run a test in float64 mode; pytest_configure makes NaN/Inf raise."""
+    with tensor.using_dtype("float64"):
         yield
 
 

@@ -172,10 +172,14 @@ class TestTrainCommand:
         assert f"cfg.txt:{lineno}: " in err
         assert not out.exists()
 
-    def test_diverging_run_exit_2_without_model(self, tmp_path, capsys):
+    @pytest.mark.parametrize("epochs", [
+        3,
+        1,  # the one step ends with finite weights; the epoch-end eval overflows
+    ])
+    def test_diverging_run_exit_2_without_model(self, tmp_path, capsys, epochs):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(BASE_CONFIG.replace("lr = 0.02", "lr = 1e6")
-                       .replace("epochs = 1", "epochs = 3"))
+                       .replace("epochs = 1", f"epochs = {epochs}"))
         dataset = make_container(tmp_path, classes=2, per_class=10, size=16)
         out = tmp_path / "m.cnm"
         with np.errstate(all="ignore"):
@@ -255,6 +259,22 @@ class TestEvalCommand:
         assert code == 2
         assert "magic" in err
 
+    def test_overflowing_model_exit_2(self, tmp_path, capsys):
+        # finite weights, so save_model accepts them, but the forward overflows
+        dataset = make_container(tmp_path, classes=2, per_class=10, size=16)
+        net = zoo.build("custom140_dw", input_dims=(1, 16, 16), num_classes=2)
+        for name, w in net.params().items():
+            if name.endswith("dense.w"):
+                w[...] = 3e38
+        model = tmp_path / "m.cnm"
+        zoo.save_model(net, model)
+        with np.errstate(all="ignore"):
+            code, stdout, err = run_cli(["eval", "--model", str(model), "--data",
+                                         str(dataset)], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "accuracy" not in stdout
+
 
 class TestParamsCommand:
     def test_breakdown_and_total(self, capsys):
@@ -324,13 +344,13 @@ class TestTopLevel:
         code, _, _ = run_cli(["dance"], capsys)
         assert code == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--archs", "custom140_dw", "--batch", "0"],
-        ["bench", "--archs", "custom140_dw", "--iters", "0"],
-        ["bench", "--archs", "custom140_dw", "--warmup", "-1"],
-        ["synth", "--size", "0", "--out", "x.cds"],
-    ])
-    def test_bad_number_one_error_line(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv, flag", [
+        (["bench", "--archs", "custom140_dw", "--batch", "0"], "--batch"),
+        (["bench", "--archs", "custom140_dw", "--iters", "0"], "--iters"),
+        (["bench", "--archs", "custom140_dw", "--warmup", "-1"], "--warmup"),
+        (["synth", "--size", "0", "--out", "x.cds"], "--size"),
+    ], ids=["argv0", "argv1", "argv2", "argv3"])
+    def test_bad_number_one_error_line(self, tmp_path, argv, flag):
         # a real process, so an uncaught exception would show its traceback
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-m", "lightcnn.cli", *argv], cwd=tmp_path,
@@ -339,4 +359,5 @@ class TestTopLevel:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
+        assert flag in proc.stderr
         assert not (tmp_path / "x.cds").exists()

@@ -11,6 +11,10 @@ class TestConstructors:
         with tensor.using_dtype("float64"):
             assert tensor.default_dtype() is np.float64
         assert tensor.default_dtype() is np.float32
+        for name in ("float16", np.float64, None):
+            with pytest.raises(ValueError), tensor.using_dtype(name):
+                pass
+        assert tensor.default_dtype() is np.float32
 
 
 class TestRng:

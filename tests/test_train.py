@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lightcnn import train as tr
+from lightcnn import zoo
 from lightcnn.data import synth, split
 from lightcnn.layers import (
     LayerSpec, Network, make_layer, CONV3, RELU, MAXPOOL2, GAP, DENSE, SOFTMAX,
@@ -307,6 +308,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(probe_net(4, 8), ds)
 
+    def test_non_finite_outputs_rejected(self):
+        # finite weights whose float32 forward pass overflows
+        ds = synth(2, 10, dims=16, seed=0)
+        net = probe_net(2, 16, seed=0)
+        net.params()["06.dense.w"][:] = 3e38
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"not finite on images 0\.\.19"):
+            evaluate(net, ds)
+
 
 class TestTrainLoop:
     def _tiny_data(self):
@@ -322,6 +332,16 @@ class TestTrainLoop:
         after, _, _ = evaluate(net, eval_ds)
         assert before == after
         assert len(report.rows) == 1
+
+    def test_diverging_step_stops_before_epoch_end(self):
+        # four steps per epoch; the second step's loss is the first non-finite one
+        train_ds, eval_ds = self._tiny_data()
+        net = zoo.build("custom140_dw", input_dims=(1, 16, 16), num_classes=4,
+                        seed=1)
+        cfg = TrainConfig(epochs=1, batch_size=16, lr=1e6, seed=3)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^training diverged: loss is nan at epoch 1, step 2$"):
+            train(net, train_ds, eval_ds, cfg)
 
     def test_zero_epochs_noop(self):
         train_ds, eval_ds = self._tiny_data()
