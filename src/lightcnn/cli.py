@@ -16,6 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import data as data_mod
 from . import train as train_mod
@@ -213,8 +215,11 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(f"{args.config}: {exc}") from exc
     try:
-        report, final, swa_params = train_mod.train(network, train_ds,
-                                                    eval_ds, tcfg)
+        # an overflowing run stops at the engine's own finiteness checks, so
+        # numpy's warnings would only add lines of engine internals to stderr
+        with np.errstate(all="ignore"):
+            report, final, swa_params = train_mod.train(network, train_ds,
+                                                        eval_ds, tcfg)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -237,6 +242,7 @@ def cmd_train(args) -> int:
         last = report.rows[-1]
         print(f"final epoch {last.epoch}: train_acc={last.train_acc:.4f} "
               f"eval_acc={last.eval_acc:.4f}")
+    print(f"weights sha256 {zoo.weights_digest(final)}")
     return EXIT_OK
 
 
@@ -245,7 +251,8 @@ def cmd_eval(args) -> int:
     network = _load_model(args.model, input_dims=(1,) + ds.dims,
                           num_classes=ds.num_classes)
     try:
-        acc, per_class, loss = train_mod.evaluate(network, ds)
+        with np.errstate(all="ignore"):  # see cmd_train
+            acc, per_class, loss = train_mod.evaluate(network, ds)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     print(f"model: {network.name}")
@@ -254,6 +261,7 @@ def cmd_eval(args) -> int:
     print("| --- | --- |")
     for idx, name in enumerate(ds.class_names):
         print(f"| {name} | {per_class[idx]:.4f} |")
+    print(f"weights sha256 {zoo.weights_digest(network.params())}")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ The stored name carries the architecture plus option tags ("+bp", "+se"),
 so a loaded file rebuilds the exact network shape before weights load.
 """
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -170,6 +171,16 @@ def describe(names=ARCH_NAMES, num_classes=10) -> str:
 
 
 # ------------------------------------------------------------ model file IO
+
+def weights_digest(params: dict) -> str:
+    """SHA-256 over every parameter's name and float32 little-endian bytes,
+    in sorted name order; equal digests mean byte-identical weights."""
+    h = hashlib.sha256()
+    for key in sorted(params):
+        h.update(key.encode())
+        h.update(np.ascontiguousarray(params[key], dtype="<f4").tobytes())
+    return h.hexdigest()
+
 
 def save_model(network: Network, path) -> None:
     """Write the network to a model file; non-finite weights are refused."""

@@ -236,13 +236,18 @@ class TestEvalCommand:
         cfg.write_text(BASE_CONFIG)
         dataset = make_container(tmp_path, classes=4, per_class=10, size=28)
         out = tmp_path / "m.cnm"
-        run_cli(["train", "--config", str(cfg), "--data", str(dataset),
-                 "--out", str(out)], capsys)
+        _, train_out, _ = run_cli(["train", "--config", str(cfg), "--data",
+                                   str(dataset), "--out", str(out)], capsys)
         code, stdout, _ = run_cli(["eval", "--model", str(out), "--data",
                                    str(dataset)], capsys)
         assert code == 0
         assert "accuracy:" in stdout
         assert "| class0 |" in stdout
+        # both print the saved weights' digest as their last line
+        model = zoo.load_model(out, input_dims=(1, 28, 28), num_classes=4)
+        digest = f"weights sha256 {zoo.weights_digest(model.params())}"
+        assert train_out.splitlines()[-1] == digest
+        assert stdout.splitlines()[-1] == digest
 
     def test_missing_model_exit_2(self, tmp_path, capsys):
         dataset = make_container(tmp_path)
@@ -361,3 +366,26 @@ class TestTopLevel:
         assert proc.stderr.startswith("error: ")
         assert flag in proc.stderr
         assert not (tmp_path / "x.cds").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_overflow_one_error_line(self, tmp_path, command):
+        # a real process, where numpy warns on overflow instead of raising
+        dataset = make_container(tmp_path, classes=2, per_class=10, size=16)
+        if command == "train":
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(BASE_CONFIG.replace("lr = 0.02", "lr = 1e6"))
+            argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "m2.cnm")]
+        else:
+            net = zoo.build("custom140_dw", input_dims=(1, 16, 16), num_classes=2)
+            for name, w in net.params().items():
+                if name.endswith("dense.w"):
+                    w[...] = 3e38
+            zoo.save_model(net, tmp_path / "m.cnm")
+            argv = ["eval", "--model", str(tmp_path / "m.cnm")]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "lightcnn.cli", *argv, "--data",
+                               str(dataset)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")

@@ -8,6 +8,7 @@ probe the same loss numerically.  All checks run in float64.
 import numpy as np
 import pytest
 
+from lightcnn import layers
 from lightcnn.layers import (
     LayerSpec, make_layer, Network,
     CONV3, CONV_DW, POINTWISE, RELU, MAXPOOL2, BLURPOOL2, GAP,
@@ -59,6 +60,15 @@ class TestLayerGradients:
             stride = 2 if seed % 2 else 1
             lay = _make(CONV3, 2, 3, stride, seed)
             _check_layer(lay, _input(rng, 2, 2, 5, 5))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv3x3_chunked_input_gradient(self, f64, monkeypatch, stride):
+        # a budget of 2.5 images' columns folds a batch of 5 as 2, 2 and 1
+        oh, ow = layers._conv_out_hw(5, 5, stride)
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 5 * 9 * 2 * oh * ow * 8 // 2)
+        assert layers._chunk_images(2, oh, ow, 8) == 2
+        lay = _make(CONV3, 2, 3, stride, seed=7)
+        _check_layer(lay, _input(Rng(1007), 5, 2, 5, 5))
 
     def test_depthwise_separable(self, f64):
         for seed in range(5):

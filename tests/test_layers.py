@@ -34,6 +34,20 @@ class TestConv3x3:
             want = oracles.conv3x3_direct(x, lay.w, lay.b, stride)
             assert oracles.max_rel_err(got, want) < 1e-10
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunked_passes_match_direct_loops(self, f64, monkeypatch, stride):
+        # a budget of 2.5 images' columns splits a batch of 5 into 2, 2 and 1
+        n, cin, cout, h, w = 5, 3, 4, 7, 6
+        oh, ow = layers._conv_out_hw(h, w, stride)
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", 5 * 9 * cin * oh * ow * 8 // 2)
+        assert layers._chunk_images(cin, oh, ow, 8) == 2
+        lay = _layer(CONV3, cin, cout, stride, seed=41)
+        lay.b[:] = Rng(42).normal_array(cout)
+        x = Rng(43).normal_array(n * cin * h * w).reshape(n, cin, h, w)
+        want = oracles.conv3x3_direct(x, lay.w, lay.b, stride)
+        for train in (False, True):
+            assert oracles.max_rel_err(lay.forward(x, train=train), want) < 1e-10
+
     def test_identity_kernel(self, f64):
         # a kernel with 1 at the centre and zero bias copies the input
         lay = _layer(CONV3, 2, 2)

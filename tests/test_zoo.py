@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from lightcnn.tensor import Rng
 from lightcnn.zoo import (
     ARCH_NAMES, PARAM_BUDGETS, REFERENCE_PARAM_COUNTS,
     arch_spec, build, count_params, describe, full_name, parse_name,
-    save_model, load_model,
+    save_model, load_model, weights_digest,
 )
 
 CONV_KINDS = (CONV3, CONV_DW)
@@ -238,3 +240,17 @@ class TestModelFile:
             with pytest.raises(ValueError, match="non-finite"):
                 save_model(net, path)
             assert not path.exists()
+
+    def test_weights_digest_is_sha256_over_sorted_names_and_f32_bytes(self, tmp_path):
+        net, back, _ = self._roundtrip(tmp_path)
+        params = net.params()
+        h = hashlib.sha256()
+        for key in sorted(params):
+            h.update(key.encode())
+            h.update(params[key].astype("<f4").tobytes())
+        assert weights_digest(params) == h.hexdigest()
+        assert weights_digest(back.params()) == h.hexdigest()
+        # insertion order does not matter; one changed bit does
+        assert weights_digest(dict(reversed(list(params.items())))) == h.hexdigest()
+        params["00.conv3.b"][0] = np.nextafter(np.float32(0), np.float32(1))
+        assert weights_digest(params) != h.hexdigest()
