@@ -242,4 +242,4 @@ def augment_image(pipeline, image, rng):
 
 def sample_stream(seed: int, epoch: int, index: int) -> Rng:
     """The per-sample augmentation stream: one Rng per (seed, epoch, sample)."""
-    return Rng.derive(seed, epoch, index)
+    return Rng.derive(seed, 4, epoch, index)

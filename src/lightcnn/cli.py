@@ -63,17 +63,21 @@ def _interval(spec):
     return parse
 
 
-def _int_nonneg(text):
-    v = int(text)
-    if v < 0:
-        raise ValueError(f"expected a non-negative integer, got {text}")
-    return v
+def _int_at_least(lo):
+    """Parser for an integer no smaller than lo."""
+
+    def parse(text):
+        v = int(text)
+        if v < lo:
+            raise ValueError(f"expected an integer >= {lo}, got {text}")
+        return v
+    return parse
 
 
 CONFIG_SCHEMA = {
     "arch": (str, "custom590_dw"),
-    "epochs": (_int_nonneg, 15),
-    "batch_size": (int, 64),
+    "epochs": (_int_at_least(0), 15),
+    "batch_size": (_int_at_least(1), 64),
     "lr": (_interval("[0, inf)"), 0.01),
     "lr_min": (_interval("[0, inf)"), 1e-4),
     "momentum": (_interval("[0, 1)"), 0.9),

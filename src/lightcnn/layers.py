@@ -47,19 +47,7 @@ GAP = "gap"
 SQUEEZE_EXCITE = "squeeze_excite"
 DENSE = "dense"
 SOFTMAX = "softmax"
-
-KINDS = (
-    CONV3,
-    CONV_DW,
-    POINTWISE,
-    RELU,
-    MAXPOOL2,
-    BLURPOOL2,
-    GAP,
-    SQUEEZE_EXCITE,
-    DENSE,
-    SOFTMAX,
-)
+# KINDS, the tuple of these in this order, is built from _TYPES below
 
 # binomial 3x3 low-pass kernel; sums to 1 so constants pass through unchanged
 BLUR_KERNEL = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
@@ -98,9 +86,10 @@ class LayerSpec:
 
 
 class Layer:
-    """Base class: forward caches what backward needs; params are named."""
+    """Base class: forward caches what backward needs; params are named.
+    Every kind takes (spec, rng); kinds without parameters ignore rng."""
 
-    def __init__(self, spec: LayerSpec):
+    def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         self.spec = spec
         self._cache = None
         self._grads: dict[str, np.ndarray] = {}
@@ -121,9 +110,17 @@ class Layer:
         return sum(p.size for p in self.params().values())
 
     def _require_cache(self):
-        if self._cache is None:
-            raise RuntimeError(f"{self.spec.kind}: backward called before forward")
-        return self._cache
+        """The last training forward's cache, handed to one backward only, so
+        it is freed as soon as that backward returns."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(f"{self.spec.kind}: backward needs a new training forward")
+        return cache
+
+    def _check_channels(self, x: np.ndarray, what: str) -> None:
+        if x.shape[1] != self.spec.in_channels:
+            raise ValueError(
+                f"{self.spec.kind}: expected {self.spec.in_channels} {what}, got {x.shape[1]}")
 
 
 def _he_init(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -221,10 +218,7 @@ class Conv3x3(Layer):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x, train=True):
-        if x.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"conv3: expected {self.spec.in_channels} input channels, got {x.shape[1]}"
-            )
+        self._check_channels(x, "input channels")
         n, c, h, w = x.shape
         oh, ow = _conv_out_hw(h, w, self.spec.stride)
         wm = self.w.reshape(self.spec.out_channels, -1)
@@ -283,10 +277,7 @@ class DepthwiseSeparable(Layer):
         return np.ascontiguousarray(np.broadcast_to(k, (3, 3, ow, k.shape[-1])))
 
     def forward(self, x, train=True):
-        if x.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"conv_dw: expected {self.spec.in_channels} input channels, got {x.shape[1]}"
-            )
+        self._check_channels(x, "input channels")
         n, c, h, w = x.shape
         oh, ow = _conv_out_hw(h, w, self.spec.stride)
         xp = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
@@ -338,10 +329,7 @@ class PointwiseConv(Layer):
         return {"w": self.w, "b": self.b}
 
     def forward(self, x, train=True):
-        if x.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"pointwise: expected {self.spec.in_channels} input channels, got {x.shape[1]}"
-            )
+        self._check_channels(x, "input channels")
         n, cin, h, w = x.shape
         xm = x.transpose(1, 0, 2, 3).reshape(cin, -1)
         out = _pointwise_forward(xm, self.w, self.b, (n, h, w))
@@ -465,10 +453,7 @@ class SqueezeExcite(Layer):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def forward(self, x, train=True):
-        if x.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"squeeze_excite: expected {self.spec.in_channels} channels, got {x.shape[1]}"
-            )
+        self._check_channels(x, "channels")
         s = x.mean(axis=(2, 3))                      # (n, c)
         h1 = s @ self.w1.T + self.b1                 # (n, hidden)
         a1 = np.maximum(h1, 0.0)
@@ -513,10 +498,7 @@ class Dense(Layer):
     def forward(self, x, train=True):
         n = x.shape[0]
         flat = x.reshape(n, -1)
-        if flat.shape[1] != self.spec.in_channels:
-            raise ValueError(
-                f"dense: expected {self.spec.in_channels} features, got {flat.shape[1]}"
-            )
+        self._check_channels(flat, "features")
         out = flat @ self.w.T + self.b
         if train:
             self._cache = (flat, x.shape)
@@ -552,20 +534,23 @@ class Softmax(Layer):
         return y * (grad_out - dot)
 
 
-_PARAM_FREE = {RELU: ReLU, MAXPOOL2: MaxPool2, BLURPOOL2: BlurPool2, GAP: GlobalAvgPool, SOFTMAX: Softmax}
-_PARAMETRIC = {
+_TYPES = {
     CONV3: Conv3x3,
     CONV_DW: DepthwiseSeparable,
     POINTWISE: PointwiseConv,
+    RELU: ReLU,
+    MAXPOOL2: MaxPool2,
+    BLURPOOL2: BlurPool2,
+    GAP: GlobalAvgPool,
     SQUEEZE_EXCITE: SqueezeExcite,
     DENSE: Dense,
+    SOFTMAX: Softmax,
 }
+KINDS = tuple(_TYPES)
 
 
 def make_layer(spec: LayerSpec, rng: Rng) -> Layer:
-    if spec.kind in _PARAM_FREE:
-        return _PARAM_FREE[spec.kind](spec)
-    return _PARAMETRIC[spec.kind](spec, rng)
+    return _TYPES[spec.kind](spec, rng)
 
 
 class Network:
@@ -608,19 +593,18 @@ class Network:
             return self.layers[:-1]
         return self.layers
 
+    def _named(self, method: str) -> dict[str, np.ndarray]:
+        """Each layer's params() or grads() under "<index>.<kind>.<name>"
+        keys, in layer order (save_model writes tensors in this order)."""
+        return {f"{i:02d}.{layer.spec.kind}.{name}": arr
+                for i, layer in enumerate(self.layers)
+                for name, arr in getattr(layer, method)().items()}
+
     def params(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"{i:02d}.{layer.spec.kind}.{name}"] = arr
-        return out
+        return self._named("params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.grads().items():
-                out[f"{i:02d}.{layer.spec.kind}.{name}"] = arr
-        return out
+        return self._named("grads")
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
         """Copy new values into the existing parameter arrays (shape-checked)."""

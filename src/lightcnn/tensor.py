@@ -82,7 +82,12 @@ class Rng:
 
     @classmethod
     def derive(cls, seed: int, *keys: int) -> "Rng":
-        """Independent stream for (seed, key...) tuples, e.g. per sample."""
+        """Independent stream for (seed, key...) tuples, e.g. per sample.
+
+        Streams of one run seed start with a domain key so that they never
+        share a tuple: 1 batch order (epoch), 2 mixup (epoch, batch start),
+        3 layer init (layer index), 4 augmentation (epoch, sample index).
+        """
         state = int(seed) & _MASK64
         for k in keys:
             state = _mix((state + (int(k) + 1) * _GOLDEN) & _MASK64)

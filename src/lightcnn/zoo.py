@@ -34,34 +34,22 @@ from .tensor import Rng
 MODEL_MAGIC = b"CNM1"
 MODEL_VERSION = 1
 
-# conv kind sequences; a pooling layer sits after conv #2, #4 and #6
-_RECIPES = {
-    "custom590_3x3": ["c3"] * 8,
-    "custom590_dw": ["c3", "c3", "dw", "c3", "dw", "c3"] + ["dw"] * 6,
-    "custom340_3x3": ["c3"] * 7,
-    "custom340_dw": ["c3", "c3", "dw", "c3", "dw", "c3"] + ["dw"] * 5,
-    "custom140_3x3": ["c3"] * 7,
-    "custom140_dw": ["c3", "c3", "dw", "c3", "dw", "c3"] + ["dw"] * 3,
+# name -> (conv kinds, first-stage width s1, final-stage width s4, budget).
+# Convs 1-6 are s1, s1, 2*s1, 2*s1, 4*s1, 4*s1 wide, with a pooling layer
+# after #2, #4 and #6; the rest are s4 wide, the s4 that brings the
+# parameter count closest to the budget.
+_DW_FIRST_SIX = [CONV3, CONV3, CONV_DW, CONV3, CONV_DW, CONV3]
+_ARCHS = {
+    "custom590_3x3": ([CONV3] * 8, 16, 209, 590_000),                   # 587,823 params
+    "custom590_dw": (_DW_FIRST_SIX + [CONV_DW] * 6, 16, 315, 590_000),  # 589,517 params
+    "custom340_3x3": ([CONV3] * 7, 16, 457, 340_000),                   # 340,061 params
+    "custom340_dw": (_DW_FIRST_SIX + [CONV_DW] * 5, 16, 254, 340_000),  # 340,732 params
+    "custom140_3x3": ([CONV3] * 7, 16, 116, 140_000),                   # 139,894 params
+    "custom140_dw": (_DW_FIRST_SIX + [CONV_DW] * 3, 16, 186, 140_000),  # 139,676 params
 }
 
-# (first-stage width, final-stage width); the final width is the one that
-# brings the parameter count closest to the budget
-_WIDTHS = {
-    "custom590_3x3": (16, 209),   # 587,823 params
-    "custom590_dw": (16, 315),    # 589,517 params
-    "custom340_3x3": (16, 457),   # 340,061 params
-    "custom340_dw": (16, 254),    # 340,732 params
-    "custom140_3x3": (16, 116),   # 139,894 params
-    "custom140_dw": (16, 186),    # 139,676 params
-}
-
-ARCH_NAMES = tuple(_RECIPES)
-
-PARAM_BUDGETS = {
-    "custom590_3x3": 590_000, "custom590_dw": 590_000,
-    "custom340_3x3": 340_000, "custom340_dw": 340_000,
-    "custom140_3x3": 140_000, "custom140_dw": 140_000,
-}
+ARCH_NAMES = tuple(_ARCHS)
+PARAM_BUDGETS = {name: arch[3] for name, arch in _ARCHS.items()}
 
 # published sizes of the familiar baselines the zoo is compared against
 REFERENCE_PARAM_COUNTS = {
@@ -74,34 +62,18 @@ REFERENCE_PARAM_COUNTS = {
 }
 
 
-def _stage_widths(kinds, s1, s4):
-    out = []
-    for i in range(len(kinds)):
-        if i < 2:
-            out.append(s1)
-        elif i < 4:
-            out.append(2 * s1)
-        elif i < 6:
-            out.append(4 * s1)
-        else:
-            out.append(s4)
-    return out
-
-
 def arch_spec(name, blurpool=False, squeeze_excite=False,
               input_dims=(1, 28, 28), num_classes=10):
     """The ordered LayerSpec list for an architecture plus options."""
-    if name not in _RECIPES:
+    if name not in _ARCHS:
         raise ValueError(
             f"unknown architecture {name!r}; choose from {', '.join(ARCH_NAMES)}")
-    kinds = _RECIPES[name]
-    s1, s4 = _WIDTHS[name]
-    widths = _stage_widths(kinds, s1, s4)
+    kinds, s1, s4, _ = _ARCHS[name]
+    widths = [s1, s1, 2 * s1, 2 * s1, 4 * s1, 4 * s1] + [s4] * (len(kinds) - 6)
     pool_kind = BLURPOOL2 if blurpool else MAXPOOL2
     specs = []
     cin = input_dims[0]
-    for i, (kind, cout) in enumerate(zip(kinds, widths)):
-        conv = CONV3 if kind == "c3" else CONV_DW
+    for i, (conv, cout) in enumerate(zip(kinds, widths)):
         specs.append(LayerSpec(conv, in_channels=cin, out_channels=cout))
         specs.append(LayerSpec(RELU, in_channels=cout, out_channels=cout))
         if squeeze_excite:
@@ -132,7 +104,7 @@ def parse_name(full):
     bp = base.endswith("+bp")
     if bp:
         base = base[:-3]
-    if base not in _RECIPES:
+    if base not in _ARCHS:
         raise ValueError(f"unknown architecture in model name {full!r}")
     return base, bp, se
 
@@ -165,8 +137,7 @@ def describe(names=ARCH_NAMES, num_classes=10) -> str:
     for name in names:
         net = build(name, num_classes=num_classes)
         total, _ = count_params(net)
-        convs = sum(1 for s in _RECIPES[name])
-        lines.append(f"| {name} | {convs} | {total:,} | {PARAM_BUDGETS[name]:,} |")
+        lines.append(f"| {name} | {len(_ARCHS[name][0])} | {total:,} | {PARAM_BUDGETS[name]:,} |")
     return "\n".join(lines)
 
 

@@ -292,6 +292,16 @@ class TestPipeline:
         b = augment_image(pipe, x, sample_stream(42, 3, 18))
         assert not np.array_equal(a, b)
 
+    def test_streams_apart_from_order_mixup_and_init(self):
+        # no (epoch, sample) stream repeats a batch order, mixup or init stream
+        seed = 42
+        others = {Rng.derive(seed, 1, e).uniform() for e in range(8)}
+        others |= {Rng.derive(seed, 2, e, b).uniform() for e in range(8) for b in range(8)}
+        others |= {Rng.derive(seed, 3, i).uniform() for i in range(8)}
+        for epoch in range(8):
+            for i in range(8):
+                assert sample_stream(seed, epoch, i).uniform() not in others, (epoch, i)
+
     def test_epoch_changes_stream(self, rng):
         pipe = build_pipeline({ROTATION: 1.0})
         x = _image(rng)

@@ -189,6 +189,15 @@ class TestTrainCommand:
         assert re.search(r"diverged: loss is nan at epoch \d+, step \d+", err)
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    def test_batch_size_zero_exit_1_before_dataset(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("batch_size = 0\n")
+        code, _, err = run_cli(["train", "--config", str(cfg), "--data",
+                                str(tmp_path / "ghost.cds"), "--out",
+                                str(tmp_path / "m.cnm")], capsys)
+        assert code == 1
+        assert "bad.cfg:1: batch_size" in err
+
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(BASE_CONFIG)

@@ -335,6 +335,18 @@ class TestLayerContracts:
             with pytest.raises(RuntimeError):
                 lay.backward(np.zeros((2, 4, 3, 3), np.float32))
 
+    def test_second_backward_needs_new_forward(self, f64):
+        # a training cache is handed to one backward and then dropped
+        rng = Rng(8)
+        for kind in self.KINDS:
+            lay = _layer(kind, 4, 4)
+            side = 1 if kind in (DENSE, SOFTMAX) else 6
+            y = lay.forward(rng.normal_array(2 * 4 * side * side).reshape(2, 4, side, side))
+            lay.backward(np.ones_like(y))
+            assert lay._cache is None, kind
+            with pytest.raises(RuntimeError):
+                lay.backward(np.ones_like(y))
+
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec(CONV3, in_channels=0, out_channels=4)

@@ -88,11 +88,11 @@ class TestBudgets:
         # the count rises with the final width, so a width whose two
         # neighbours are no closer to the budget is the closest of all
         for name in ARCH_NAMES:
-            s1, s4 = zoo._WIDTHS[name]
+            kinds, s1, s4, _ = zoo._ARCHS[name]
             budget = PARAM_BUDGETS[name]
             best = abs(build(name).param_count() - budget)
             for neighbour in (s4 - 1, s4 + 1):
-                monkeypatch.setitem(zoo._WIDTHS, name, (s1, neighbour))
+                monkeypatch.setitem(zoo._ARCHS, name, (kinds, s1, neighbour, budget))
                 assert abs(build(name).param_count() - budget) >= best, (name, neighbour)
 
     def test_pairs_within_4pct(self):
