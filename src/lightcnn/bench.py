@@ -7,6 +7,8 @@ resist scheduler noise better than means.  The timed region covers the
 forward pass only — input generation and network construction stay outside.
 Models compared together are timed in turn within every iteration, so a slow
 spell of the host falls on all of them alike instead of reordering them.
+Each row also names the model's ``zoo.weights_digest``, so two reports can be
+checked to have timed the same weights.
 """
 
 import os
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
+from . import tensor, zoo
 from .layers import Network
 from .tensor import Rng
 
@@ -59,6 +61,7 @@ class BenchRow:
     batch: LatencyStats
     indiv: LatencyStats
     speedup: float
+    weights_digest: str = ""
 
     def __post_init__(self):
         if self.param_ratio < 0 or self.speedup < 0:
@@ -127,23 +130,29 @@ def compare(models: list[Network], config: BenchConfig) -> BenchReport:
     """
     if not models:
         raise ValueError("compare needs at least one model")
-    measured = [(net.name, net.param_count(), batch, indiv)
+    measured = [(net, net.param_count(), batch, indiv)
                 for net, (batch, indiv) in zip(models, measure_all(models, config))]
     ref_params, ref_indiv = max((p, ind.median_ms)
                                 for _, p, _, ind in measured)
-    rows = [BenchRow(name, params, ref_params / params, batch, indiv,
-                     ref_indiv / indiv.median_ms)
-            for name, params, batch, indiv in measured]
+    rows = [BenchRow(net.name, params, ref_params / params, batch, indiv,
+                     ref_indiv / indiv.median_ms, zoo.weights_digest(net.params()))
+            for net, params, batch, indiv in measured]
     return BenchReport(config, rows)
 
 
 def emit(report: BenchReport, fmt: str) -> str:
-    """Render as "csv" (stable header) or "markdown" (Table-style columns)."""
+    """Render as "csv" (stable header) or "markdown" (Table-style columns).
+    When the rows carry weight digests (compare sets them), a last column
+    lists them."""
     if fmt == "csv":
         return _emit_csv(report)
     if fmt == "markdown":
         return _emit_markdown(report)
     raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'markdown'")
+
+
+def _has_digests(report):
+    return all(r.weights_digest for r in report.rows)
 
 
 def _meta_lines(report, prefix):
@@ -158,18 +167,21 @@ def _meta_lines(report, prefix):
 
 
 def _emit_csv(report: BenchReport) -> str:
-    lines = _meta_lines(report, "#") + [CSV_HEADER]
+    digests = _has_digests(report)
+    lines = _meta_lines(report, "#") + [CSV_HEADER + (",weights_digest" if digests else "")]
     for r in report.rows:
         lines.append(f"{r.model},{r.params},{r.param_ratio:.3f},"
                      f"{r.batch.median_ms:.3f},{r.indiv.median_ms:.3f},{r.speedup:.3f},"
                      f"{r.batch.p5_ms:.3f},{r.batch.p95_ms:.3f},"
-                     f"{r.indiv.p5_ms:.3f},{r.indiv.p95_ms:.3f}")
+                     f"{r.indiv.p5_ms:.3f},{r.indiv.p95_ms:.3f}"
+                     + (f",{r.weights_digest}" if digests else ""))
     return "\n".join(lines) + "\n"
 
 
 def _emit_markdown(report: BenchReport) -> str:
+    digests = _has_digests(report)
     cols = ["model", "params", "param ratio", "batch ms", "indiv ms", "speedup",
-            "batch p5/p95", "indiv p5/p95"]
+            "batch p5/p95", "indiv p5/p95"] + (["weights digest"] if digests else [])
     lines = _meta_lines(report, ">")
     lines.append("")
     lines.append("| " + " | ".join(cols) + " |")
@@ -178,6 +190,7 @@ def _emit_markdown(report: BenchReport) -> str:
         cells = [r.model, f"{r.params:,}", f"{r.param_ratio:.2f}x",
                  f"{r.batch.median_ms:.3f}", f"{r.indiv.median_ms:.3f}",
                  f"{r.speedup:.2f}x", f"{r.batch.p5_ms:.3f}/{r.batch.p95_ms:.3f}",
-                 f"{r.indiv.p5_ms:.3f}/{r.indiv.p95_ms:.3f}"]
+                 f"{r.indiv.p5_ms:.3f}/{r.indiv.p95_ms:.3f}"] + (
+                     [r.weights_digest] if digests else [])
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

@@ -61,10 +61,14 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+    """_mix over a uint64 array, in place (one shift buffer); returns z."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 class Rng:
@@ -100,11 +104,11 @@ class Rng:
         return _mix((self._seed + self._count * _GOLDEN) & _MASK64)
 
     def _next_u64_array(self, n: int) -> np.ndarray:
-        counters = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            states = np.uint64(self._seed) + counters * np.uint64(_GOLDEN)
-        return _mix_array(states)
+        z *= np.uint64(_GOLDEN)  # array arithmetic wraps mod 2**64, as _MASK64 does
+        z += np.uint64(self._seed)
+        return _mix_array(z)
 
     # -- distributions -------------------------------------------------
 
@@ -133,11 +137,23 @@ class Rng:
     def normal_array(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         if std <= 0:
             raise ValueError(f"normal requires std > 0, got {std}")
-        bits = self._next_u64_array(2 * n).reshape(n, 2) >> np.uint64(11)
-        u1 = (bits[:, 0].astype(np.float64) + 1.0) * _INV53
-        u2 = bits[:, 1].astype(np.float64) * _INV53
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        return mean + std * z
+        # the scalar formula evaluated in place, operation for operation
+        bits = self._next_u64_array(2 * n).reshape(n, 2)
+        bits >>= np.uint64(11)
+        z = bits[:, 0].astype(np.float64)
+        z += 1.0
+        z *= _INV53                      # u1 in (0, 1]
+        u2 = bits[:, 1].astype(np.float64)
+        u2 *= _INV53
+        np.log(z, out=z)
+        z *= -2.0
+        np.sqrt(z, out=z)
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        z *= u2
+        z *= std
+        z += mean
+        return z
 
     def gamma(self, shape: float) -> float:
         """Gamma(shape, 1) draw, Marsaglia-Tsang squeeze method."""

@@ -175,8 +175,10 @@ def save_model(network: Network, path) -> None:
 
 
 class _Reader:
+    """Reads a model file's bytes in order; take() returns views, not copies."""
+
     def __init__(self, raw, path):
-        self.raw = raw
+        self.raw = memoryview(raw)
         self.pos = 0
         self.path = path
 
@@ -192,28 +194,31 @@ class _Reader:
 
 
 def load_model(path, input_dims=(1, 28, 28), num_classes=10) -> Network:
-    """Rebuild a network from a model file and load its weights."""
+    """Rebuild a network from a model file and load its weights.
+
+    The layers are built without an rng, so they start from zeros and no
+    initial weights are drawn; each stored tensor is copied once, from the
+    file's bytes into its layer."""
     reader = _Reader(Path(path).read_bytes(), path)
-    magic = reader.take(4)
+    magic = bytes(reader.take(4))
     if magic != MODEL_MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     version, name_len = reader.unpack("<IH")
     if version != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {version}")
-    full = reader.take(name_len).decode()
+    full = str(reader.take(name_len), "utf-8")
     base, bp, se = parse_name(full)
-    network = build(base, blurpool=bp, squeeze_excite=se,
-                    input_dims=input_dims, num_classes=num_classes)
+    specs = arch_spec(base, bp, se, input_dims, num_classes)
+    network = Network(full, [make_layer(s, None) for s in specs], input_dims, num_classes)
     (count,) = reader.unpack("<I")
     values = {}
     for _ in range(count):
         (key_len,) = reader.unpack("<H")
-        key = reader.take(key_len).decode()
+        key = str(reader.take(key_len), "utf-8")
         (ndim,) = reader.unpack("B")
         shape = reader.unpack(f"<{ndim}I")
         size = int(np.prod(shape)) if ndim else 1
-        flat = np.frombuffer(reader.take(4 * size), dtype="<f4")
-        values[key] = flat.reshape(shape).astype(np.float32)
+        values[key] = np.frombuffer(reader.take(4 * size), dtype="<f4").reshape(shape)
     if reader.pos != len(reader.raw):
         raise ValueError(f"{path}: {len(reader.raw) - reader.pos} trailing bytes")
     network.set_params(values)

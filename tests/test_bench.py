@@ -95,6 +95,13 @@ class TestCompare:
         assert by_name["small"].param_ratio == pytest.approx(want)
 
 
+    def test_rows_name_weight_digests(self):
+        nets = [tiny_net(4, name="a"), tiny_net(8, name="b")]
+        report = compare(nets, FAST)
+        assert [r.weights_digest for r in report.rows] == [
+            zoo.weights_digest(net.params()) for net in nets]
+
+
 class TestEmit:
     def _report(self):
         def stats(m):
@@ -137,6 +144,18 @@ class TestEmit:
         for r in rows:
             assert float(r[i_speed]) == pytest.approx(
                 ref / float(r[i_indiv]), rel=0.02)
+
+    def test_digest_is_last_column_when_rows_carry_one(self):
+        report = self._report()
+        for r, digest in zip(report.rows, ("ab" * 32, "cd" * 32)):
+            r.weights_digest = digest
+        body = [l.split(",") for l in emit(report, "csv").splitlines()
+                if not l.startswith("#")]
+        assert body[0] == CSV_HEADER.split(",") + ["weights_digest"]
+        assert [r[-1] for r in body[1:]] == ["ab" * 32, "cd" * 32]
+        table = [l for l in emit(report, "markdown").splitlines() if l.startswith("|")]
+        assert table[0].endswith("| indiv p5/p95 | weights digest |")
+        assert table[2].endswith(f"| {'ab' * 32} |")
 
     def test_markdown_row_count(self):
         text = emit(self._report(), "markdown")

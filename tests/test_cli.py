@@ -330,6 +330,15 @@ class TestBenchCommand:
         assert rows[0].startswith("model,params,param_ratio,batch_ms,indiv_ms,speedup")
         assert rows[1].startswith("custom140_dw,")
 
+    def test_csv_names_weight_digest(self, capsys):
+        code, stdout, _ = run_cli(["bench", "--archs", "custom140_dw", "--seed", "4",
+                                   "--batch", "2", "--warmup", "1",
+                                   "--iters", "3", "--format", "csv"], capsys)
+        assert code == 0
+        rows = [l.split(",") for l in stdout.splitlines() if not l.startswith("#")]
+        assert rows[0][-1] == "weights_digest"
+        assert rows[1][-1] == zoo.weights_digest(zoo.build("custom140_dw", seed=4).params())
+
     def test_markdown_format(self, capsys):
         code, stdout, _ = run_cli(["bench", "--archs",
                                    "custom140_3x3,custom140_dw",

@@ -347,6 +347,16 @@ class TestLayerContracts:
             with pytest.raises(RuntimeError):
                 lay.backward(np.ones_like(y))
 
+    def test_no_rng_starts_from_zeros(self):
+        # a model file's weights overwrite these, so nothing is drawn
+        for kind in self.KINDS:
+            seeded = _layer(kind, 4, 4).params()
+            bare = make_layer(LayerSpec(kind, 4, 4), None).params()
+            assert bare.keys() == seeded.keys(), kind
+            for name, arr in bare.items():
+                assert arr.shape == seeded[name].shape and not arr.any(), (kind, name)
+                assert arr.dtype == tensor.default_dtype(), (kind, name)
+
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec(CONV3, in_channels=0, out_channels=4)

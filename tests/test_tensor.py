@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lightcnn import tensor
+from lightcnn import tensor, zoo
 from lightcnn.tensor import Rng
 
 
@@ -87,3 +87,13 @@ class TestRng:
             7960286522194355700,
             487617019471545679,
         ]
+
+    def test_known_init_stream_frozen(self):
+        # regression pin: the He init that zoo.build draws must never change
+        frozen = {
+            "custom140_dw": "051a8e37460b395f08b74c8277d7473e888ff41e1b3081e1ccdd81a80133cbf5",
+            "custom590_3x3": "15fa42afb5f01d8855eee0ae9876a44d2fb818ce2ea921f0b719b7fa5a3ccbab",
+        }
+        for name, digest in frozen.items():
+            net = zoo.build(name, blurpool=True, squeeze_excite=True, seed=0)
+            assert zoo.weights_digest(net.params()) == digest, name

@@ -189,6 +189,16 @@ class TestModelFile:
             x = rng.uniform_array(28 * 28).reshape(1, 1, 28, 28).astype(np.float32)
             np.testing.assert_array_equal(net.forward(x), back.forward(x))
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net, _, path = self._roundtrip(tmp_path, blurpool=True, squeeze_excite=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+        monkeypatch.setattr(Rng, "normal_array", refuse)
+        monkeypatch.setattr(Rng, "derive", refuse)
+        back = load_model(path)
+        assert weights_digest(back.params()) == weights_digest(net.params())
+
     def test_options_encoded_in_name(self, tmp_path):
         net, back, _ = self._roundtrip(tmp_path, blurpool=True,
                                        squeeze_excite=True)
