@@ -13,6 +13,11 @@ Submodules:
 
 __version__ = "0.1.0"
 
+# the BLAS/OpenMP thread-count variables: the CLI pins each to 1 before numpy
+# loads, and a bench report states their values
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
 __all__ = [
     "tensor",
     "layers",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor, zoo
+from . import THREAD_VARS, tensor, zoo
 from .layers import Network
 from .tensor import Rng
 
@@ -74,6 +74,19 @@ class BenchReport:
         self.rows = rows
         self.host = f"{platform.machine()} {platform.system()}"
         self.precision = np.dtype(tensor.default_dtype()).name
+        self.numpy = np.__version__
+        self.blas = _blas_name()
+        self.threads = " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARS)
+
+
+def _blas_name() -> str:
+    """BLAS name and version from numpy's build record; "unknown" where
+    show_config has no dict mode (numpy < 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
 
 
 def _pin_to_one_core():
@@ -160,6 +173,8 @@ def _meta_lines(report, prefix):
     return [
         f"{prefix} host: {report.host}",
         f"{prefix} precision: {report.precision}",
+        f"{prefix} numpy: {report.numpy}  blas: {report.blas}",
+        f"{prefix} threads: {report.threads}",
         f"{prefix} batch_size: {cfg.batch_size}  warmup: {cfg.warmup_iters}"
         f"  iters: {cfg.measure_iters}  input: {cfg.input_dims}"
         f"  pinned: {cfg.pin_core}",

@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 usage/config error, 2 data or model file error.
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+from . import THREAD_VARS
+
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse

@@ -6,8 +6,9 @@ and bit-exact reruns see a single compute thread.
 
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+from lightcnn import THREAD_VARS
+
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402

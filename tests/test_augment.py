@@ -157,6 +157,14 @@ class TestCropAndPhoto:
         y = apply(AugmentOp(GAUSSIAN_BLUR), x, Rng(2))
         assert y.std() < x.std()
 
+    def test_blur_of_one_row_image_pinned(self):
+        # a 1-pixel side mirrors onto itself; these are numpy.pad's results
+        x = np.array([0.1, 0.4, 0.9, 0.3, 0.6]).reshape(1, 1, 1, 5)
+        y = apply(AugmentOp(GAUSSIAN_BLUR, probability=1.0), x, Rng(2))
+        assert y.tolist() == [[[[0.2394450600939393, 0.44648168669797983,
+                                 0.6443507231611115, 0.5091675901409088,
+                                 0.4605549399060608]]]]
+
 
 class TestRangeAndShapeInvariants:
     # 10_000 random trials per op: shape preserved, values stay in [0, 1]

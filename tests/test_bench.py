@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from lightcnn import bench, zoo
+from lightcnn import THREAD_VARS, bench, zoo
 from lightcnn.bench import (
     BenchConfig, BenchReport, BenchRow, LatencyStats, CSV_HEADER,
     measure_all, compare, emit,
@@ -167,6 +167,27 @@ class TestEmit:
         text = emit(self._report(), "csv")
         assert "precision:" in text
         assert "batch_size: 32" in text
+
+    def test_meta_header_states_numpy_blas_and_threads(self, monkeypatch):
+        for var, value in zip(THREAD_VARS, ("1", "2", None, "1", "4")):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        report = self._report()
+        for fmt, mark in (("csv", "#"), ("markdown", ">")):
+            lines = emit(report, fmt).splitlines()
+            assert f"{mark} numpy: {np.__version__}  blas: {blas['name']} {blas['version']}" in lines
+            assert (f"{mark} threads: OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=2 "
+                    "MKL_NUM_THREADS=unset NUMEXPR_NUM_THREADS=1 "
+                    "VECLIB_MAXIMUM_THREADS=4") in lines
+
+    def test_blas_unknown_without_show_config_dicts(self, monkeypatch):
+        def show_config():  # numpy < 1.26 takes no mode
+            pass
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert "# numpy: " + np.__version__ + "  blas: unknown" in emit(self._report(), "csv")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -227,6 +227,27 @@ class TestBlurPool2:
         assert np.mean(blur_deltas) < np.mean(max_deltas)
 
 
+class TestPad1:
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 5, 5), (1, 1, 4, 6), (2, 3, 7, 4), (1, 2, 2, 2), (2, 1, 2, 5),
+        (1, 1, 1, 5), (2, 2, 6, 1), (1, 1, 1, 1)])
+    def test_matches_numpy_pad_byte_for_byte(self, shape, dtype, reflect):
+        n, c, h, w = shape
+        x = Rng(7).normal_array(n * c * h * w).reshape(shape).astype(dtype)
+        # signed zero and non-finite values where the border copies from
+        x[:, :, 0, min(1, w - 1)] = np.nan
+        x[:, :, min(1, h - 1), 0] = -0.0
+        x[:, :, h - 1, max(w - 2, 0)] = np.inf
+        x[:, :, max(h - 2, 0), w - 1] = -np.inf
+        want = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
+                      mode="reflect" if reflect else "constant")
+        got = layers._pad1(x, reflect)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestGlobalAvgPool:
     def test_matches_loops(self, f64, rng):
         lay = _layer(GAP, 3, 3)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lightcnn import layers, zoo
 from lightcnn import train as tr
-from lightcnn import zoo
+from lightcnn.augment import OP_ORDER
 from lightcnn.data import synth, split
 from lightcnn.layers import (
     LayerSpec, Network, make_layer, CONV3, RELU, MAXPOOL2, GAP, DENSE, SOFTMAX,
@@ -419,6 +420,22 @@ class TestTrainLoop:
         net = probe_net(10, 16, seed=0)  # 10 outputs vs 4 classes
         with pytest.raises(ValueError):
             train(net, train_ds, eval_ds, TrainConfig(epochs=1))
+
+    def test_no_path_calls_numpy_pad(self, monkeypatch):
+        # the layers pad by slice copies (layers._pad1), never through numpy.pad
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.pad was called")
+        monkeypatch.setattr(np, "pad", refuse)
+        ds = synth(10, 2, dims=28, seed=4)
+        net = zoo.build("custom140_dw", seed=1, blurpool=True, squeeze_excite=True)
+        net.forward(ds.images[:1].astype(np.float32), train=False)
+        # one evaluation batch of 20: the 16 -> 16 conv3 at 28x28 unfolds in chunks
+        assert layers._chunk_images(16, 28, 28, 4) < len(ds)
+        evaluate(net, ds)
+        cfg = TrainConfig(epochs=1, batch_size=10, seed=2,
+                          augment={op: 1.0 for op in OP_ORDER})
+        report, _, _ = train(net, ds, ds, cfg)
+        assert len(report.rows) == 1
 
     def test_loss_decreases_on_probe(self):
         train_ds, eval_ds = self._tiny_data()
