@@ -23,7 +23,8 @@ from .layers import Network
 from .tensor import Rng
 
 CSV_HEADER = ("model,params,param_ratio,batch_ms,indiv_ms,speedup,"
-              "batch_p5,batch_p95,indiv_p5,indiv_p95")
+              "batch_p5,batch_p95,indiv_p5,indiv_p95,weights_digest")
+INPUT_DIMS = (1, 28, 28)  # (c, h, w) of the timed inputs: zoo.build's default
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class BenchConfig:
     batch_size: int = 32
     warmup_iters: int = 10
     measure_iters: int = 100
-    input_dims: tuple = (1, 28, 28)
     pin_core: bool = False
     seed: int = 0
 
@@ -61,7 +61,7 @@ class BenchRow:
     batch: LatencyStats
     indiv: LatencyStats
     speedup: float
-    weights_digest: str = ""
+    weights_digest: str
 
     def __post_init__(self):
         if self.param_ratio < 0 or self.speedup < 0:
@@ -115,7 +115,7 @@ def _timed_forwards(networks, x, warmup, iters):
 
 def measure_all(networks: list[Network], config: BenchConfig):
     """(batch latency, individual latency) LatencyStats pairs, one per network."""
-    c, h, w = config.input_dims
+    c, h, w = INPUT_DIMS
     rng = Rng.derive(config.seed, 0xBE)
     dtype = tensor.default_dtype()
     x_batch = rng.uniform_array(config.batch_size * c * h * w).reshape(
@@ -154,18 +154,13 @@ def compare(models: list[Network], config: BenchConfig) -> BenchReport:
 
 
 def emit(report: BenchReport, fmt: str) -> str:
-    """Render as "csv" (stable header) or "markdown" (Table-style columns).
-    When the rows carry weight digests (compare sets them), a last column
-    lists them."""
+    """Render as "csv" (header CSV_HEADER) or "markdown" (Table-style
+    columns); either way the last column is the row's weight digest."""
     if fmt == "csv":
         return _emit_csv(report)
     if fmt == "markdown":
         return _emit_markdown(report)
     raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'markdown'")
-
-
-def _has_digests(report):
-    return all(r.weights_digest for r in report.rows)
 
 
 def _meta_lines(report, prefix):
@@ -176,27 +171,24 @@ def _meta_lines(report, prefix):
         f"{prefix} numpy: {report.numpy}  blas: {report.blas}",
         f"{prefix} threads: {report.threads}",
         f"{prefix} batch_size: {cfg.batch_size}  warmup: {cfg.warmup_iters}"
-        f"  iters: {cfg.measure_iters}  input: {cfg.input_dims}"
+        f"  iters: {cfg.measure_iters}  input: {INPUT_DIMS}"
         f"  pinned: {cfg.pin_core}",
     ]
 
 
 def _emit_csv(report: BenchReport) -> str:
-    digests = _has_digests(report)
-    lines = _meta_lines(report, "#") + [CSV_HEADER + (",weights_digest" if digests else "")]
+    lines = _meta_lines(report, "#") + [CSV_HEADER]
     for r in report.rows:
         lines.append(f"{r.model},{r.params},{r.param_ratio:.3f},"
                      f"{r.batch.median_ms:.3f},{r.indiv.median_ms:.3f},{r.speedup:.3f},"
                      f"{r.batch.p5_ms:.3f},{r.batch.p95_ms:.3f},"
-                     f"{r.indiv.p5_ms:.3f},{r.indiv.p95_ms:.3f}"
-                     + (f",{r.weights_digest}" if digests else ""))
+                     f"{r.indiv.p5_ms:.3f},{r.indiv.p95_ms:.3f},{r.weights_digest}")
     return "\n".join(lines) + "\n"
 
 
 def _emit_markdown(report: BenchReport) -> str:
-    digests = _has_digests(report)
     cols = ["model", "params", "param ratio", "batch ms", "indiv ms", "speedup",
-            "batch p5/p95", "indiv p5/p95"] + (["weights digest"] if digests else [])
+            "batch p5/p95", "indiv p5/p95", "weights digest"]
     lines = _meta_lines(report, ">")
     lines.append("")
     lines.append("| " + " | ".join(cols) + " |")
@@ -205,7 +197,6 @@ def _emit_markdown(report: BenchReport) -> str:
         cells = [r.model, f"{r.params:,}", f"{r.param_ratio:.2f}x",
                  f"{r.batch.median_ms:.3f}", f"{r.indiv.median_ms:.3f}",
                  f"{r.speedup:.2f}x", f"{r.batch.p5_ms:.3f}/{r.batch.p95_ms:.3f}",
-                 f"{r.indiv.p5_ms:.3f}/{r.indiv.p95_ms:.3f}"] + (
-                     [r.weights_digest] if digests else [])
+                 f"{r.indiv.p5_ms:.3f}/{r.indiv.p95_ms:.3f}", r.weights_digest]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,10 @@
 Thread-count environment variables are pinned to 1 before numpy loads so
 that results are reproducible and latency numbers reflect one CPU thread.
 
-Exit codes: 0 success, 1 usage/config error, 2 data or model file error.
+Exit codes, mapped once in ``main``: 0 success; 1 for a usage or config
+error (``UsageError``, argparse errors); 2 for a data or model file error
+(``DataError``, or any ``ValueError`` the library raises, its message printed
+as the one ``error:`` line).
 """
 
 import os
@@ -178,55 +181,34 @@ def _load_dataset(path):
         return data_mod.load_container(path)
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
-
-def _load_model(path, **build_kwargs):
-    try:
-        return zoo.load_model(path, **build_kwargs)
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
 
 
 def cmd_train(args) -> int:
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     cfg = parse_config_text(text, source=str(args.config))
     print(effective_config(cfg), end="")
 
     ds = _load_dataset(args.data)
-    try:
-        train_ds, eval_ds = data_mod.split(ds, cfg["split_fraction"],
-                                           cfg["split_seed"])
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    train_ds, eval_ds = data_mod.split(ds, cfg["split_fraction"], cfg["split_seed"])
 
     network = zoo.build(cfg["arch"], blurpool=cfg["blurpool"],
                         squeeze_excite=cfg["se"], seed=cfg["seed"],
                         input_dims=(1,) + ds.dims, num_classes=ds.num_classes)
-    try:
-        tcfg = TrainConfig(
-            epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-            lr_min=cfg["lr_min"], momentum=cfg["momentum"], seed=cfg["seed"],
-            smoothing=cfg["label_smoothing"], use_mixup=cfg["mixup"],
-            mixup_alpha=cfg["mixup_alpha"], use_swa=cfg["swa"],
-            augment=_augment_dict(cfg),
-        )
-    except ValueError as exc:
-        raise UsageError(f"{args.config}: {exc}") from exc
-    try:
-        # an overflowing run stops at the engine's own finiteness checks, so
-        # numpy's warnings would only add lines of engine internals to stderr
-        with np.errstate(all="ignore"):
-            report, final, swa_params = train_mod.train(network, train_ds,
-                                                        eval_ds, tcfg)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    # parse_config_text has already rejected every value TrainConfig would
+    tcfg = TrainConfig(
+        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
+        lr_min=cfg["lr_min"], momentum=cfg["momentum"], seed=cfg["seed"],
+        smoothing=cfg["label_smoothing"], use_mixup=cfg["mixup"],
+        mixup_alpha=cfg["mixup_alpha"], use_swa=cfg["swa"],
+        augment=_augment_dict(cfg),
+    )
+    # an overflowing run stops at the engine's own finiteness checks, so
+    # numpy's warnings would only add lines of engine internals to stderr
+    with np.errstate(all="ignore"):
+        report, final, swa_params = train_mod.train(network, train_ds, eval_ds, tcfg)
 
     out = Path(args.out)
     try:
@@ -253,13 +235,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args.data)
-    network = _load_model(args.model, input_dims=(1,) + ds.dims,
-                          num_classes=ds.num_classes)
     try:
-        with np.errstate(all="ignore"):  # see cmd_train
-            acc, per_class, loss = train_mod.evaluate(network, ds)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        network = zoo.load_model(args.model, input_dims=(1,) + ds.dims,
+                                 num_classes=ds.num_classes)
+    except OSError as exc:
+        raise DataError(f"cannot read model {args.model}: {exc}") from exc
+    with np.errstate(all="ignore"):  # see cmd_train
+        acc, per_class, loss = train_mod.evaluate(network, ds)
     print(f"model: {network.name}")
     print(f"accuracy: {acc:.4f}  mean_loss: {loss:.4f}")
     print("| class | accuracy |")
@@ -369,7 +351,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -56,10 +56,6 @@ class Dataset:
     def dims(self):
         return self.images.shape[2], self.images.shape[3]
 
-    def sample(self, i):
-        """One image as (1, 1, h, w) plus its label."""
-        return self.images[i:i + 1], int(self.labels[i])
-
 
 def default_names(num_classes):
     return [f"class{i}" for i in range(num_classes)]

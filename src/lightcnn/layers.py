@@ -61,10 +61,10 @@ BLUR_KERNEL = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
 class LayerSpec:
     """Declarative description of one layer.
 
-    ``in_channels``/``out_channels`` are required for parameterised kinds
-    and may stay 0 for shape-preserving ones.  ``stride`` applies to the
-    conv kinds; ``se_reduction`` divides the channel count to size the
-    squeeze-and-excite hidden layer.
+    ``in_channels``/``out_channels`` must be positive for every kind, and
+    equal for the shape-preserving ones (all but conv3, conv_dw, pointwise
+    and dense).  ``stride`` applies to the conv kinds; ``se_reduction``
+    divides the channel count to size the squeeze-and-excite hidden layer.
     """
 
     kind: str
@@ -160,7 +160,7 @@ def _pad1(x: np.ndarray, reflect: bool = False) -> np.ndarray:
     return xp
 
 
-def _im2col3(x: np.ndarray, stride: int) -> tuple[np.ndarray, int, int]:
+def _im2col3(x: np.ndarray, stride: int) -> np.ndarray:
     """Unfold 3x3/pad-1 windows into a (c*9, n*oh*ow) matrix."""
     n, c, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, stride)
@@ -172,8 +172,7 @@ def _im2col3(x: np.ndarray, stride: int) -> tuple[np.ndarray, int, int]:
         strides=(sn, sc, sh * stride, sw * stride, sh, sw),
         writeable=False,
     )
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow)
-    return cols, oh, ow
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow)
 
 
 # Bytes of im2col columns (or of their gradient) per chunk of images: about
@@ -255,10 +254,10 @@ class Conv3x3(Layer):
         if k < n:
             out = np.empty((n, self.spec.out_channels, oh, ow), np.result_type(x, wm))
             for i in range(0, n, k):
-                cols = _im2col3(x[i : i + k], self.spec.stride)[0]
+                cols = _im2col3(x[i : i + k], self.spec.stride)
                 out[i : i + k] = _pointwise_forward(cols, wm, self.b, (min(k, n - i), oh, ow))
             return out
-        cols = _im2col3(x, self.spec.stride)[0]
+        cols = _im2col3(x, self.spec.stride)
         out = _pointwise_forward(cols, wm, self.b, (n, oh, ow))
         if train:
             self._cache = (cols, x.shape, oh, ow)

@@ -51,16 +51,6 @@ _ARCHS = {
 ARCH_NAMES = tuple(_ARCHS)
 PARAM_BUDGETS = {name: arch[3] for name, arch in _ARCHS.items()}
 
-# published sizes of the familiar baselines the zoo is compared against
-REFERENCE_PARAM_COUNTS = {
-    "inception": 23_000_000,
-    "vit": 11_000_000,
-    "mobilenet": 3_500_000,
-    "resnet65": 1_900_000,
-    "resnet47": 1_300_000,
-    "resnet20": 850_000,
-}
-
 
 def arch_spec(name, blurpool=False, squeeze_excite=False,
               input_dims=(1, 28, 28), num_classes=10):

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 
 import numpy as np
 import pytest
@@ -68,6 +69,15 @@ class TestMeasure:
         assert abs(a.median_ms - b.median_ms) <= 0.25 * max(a.median_ms,
                                                             b.median_ms)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no sched_setaffinity on this platform")
+    def test_pinned_run_restores_affinity(self):
+        before = os.sched_getaffinity(0)
+        cfg = BenchConfig(batch_size=2, warmup_iters=1, measure_iters=3, pin_core=True)
+        batch, indiv = measure_all([tiny_net()], cfg)[0]
+        assert batch.median_ms > 0.0 and indiv.median_ms > 0.0
+        assert os.sched_getaffinity(0) == before
+
 
 class TestCompare:
     def test_empty_rejected(self):
@@ -107,8 +117,8 @@ class TestEmit:
         def stats(m):
             return LatencyStats(m, m * 0.9, m * 1.2)
         rows = [
-            BenchRow("net_a", 1000, 2.0, stats(1.0), stats(0.5), 2.0),
-            BenchRow("net_b", 2000, 1.0, stats(2.0), stats(1.0), 1.0),
+            BenchRow("net_a", 1000, 2.0, stats(1.0), stats(0.5), 2.0, "0a" * 32),
+            BenchRow("net_b", 2000, 1.0, stats(2.0), stats(1.0), 1.0, "0b" * 32),
         ]
         return BenchReport(BenchConfig(), rows)
 
@@ -116,12 +126,13 @@ class TestEmit:
         text = emit(self._report(), "csv")
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert rows[0] == CSV_HEADER == ("model,params,param_ratio,batch_ms,indiv_ms,speedup,"
-                                         "batch_p5,batch_p95,indiv_p5,indiv_p95")
+                                         "batch_p5,batch_p95,indiv_p5,indiv_p95,"
+                                         "weights_digest")
 
     def test_csv_percentile_columns_appended(self):
         text = emit(self._report(), "csv")
         body = [l.split(",") for l in text.splitlines() if not l.startswith("#")]
-        assert body[0][6:] == ["batch_p5", "batch_p95", "indiv_p5", "indiv_p95"]
+        assert body[0][6:10] == ["batch_p5", "batch_p95", "indiv_p5", "indiv_p95"]
         for r in body[1:]:
             assert float(r[6]) <= float(r[3]) <= float(r[7])  # batch band
             assert float(r[8]) <= float(r[4]) <= float(r[9])  # indiv band
@@ -151,7 +162,8 @@ class TestEmit:
             r.weights_digest = digest
         body = [l.split(",") for l in emit(report, "csv").splitlines()
                 if not l.startswith("#")]
-        assert body[0] == CSV_HEADER.split(",") + ["weights_digest"]
+        assert body[0] == CSV_HEADER.split(",")
+        assert body[0][-1] == "weights_digest"
         assert [r[-1] for r in body[1:]] == ["ab" * 32, "cd" * 32]
         table = [l for l in emit(report, "markdown").splitlines() if l.startswith("|")]
         assert table[0].endswith("| indiv p5/p95 | weights digest |")
@@ -161,7 +173,7 @@ class TestEmit:
         text = emit(self._report(), "markdown")
         table = [l for l in text.splitlines() if l.startswith("|")]
         assert len(table) == 2 + 2  # header + separator + one row per model
-        assert table[0].endswith("| batch p5/p95 | indiv p5/p95 |")
+        assert table[0].endswith("| batch p5/p95 | indiv p5/p95 | weights digest |")
 
     def test_meta_header_present(self):
         text = emit(self._report(), "csv")

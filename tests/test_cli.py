@@ -163,13 +163,19 @@ class TestTrainCommand:
         ("momentum = 1.5", 8),
         ("split_fraction = 1.5", 8),
         ("mixup = true\nmixup_alpha = 0", 9),
+        # every TrainConfig bound; a key BASE_CONFIG sets moves to the end
+        ("epochs = -1", 7),
+        ("lr = -0.5", 7),
+        ("lr_min = -1", 8),
+        ("label_smoothing = 1.0", 8),
     ])
     def test_out_of_range_value_exit_1_with_line(self, tmp_path, capsys,
                                                  lines, lineno):
-        code, _, err, out = self._train(tmp_path, capsys,
-                                        BASE_CONFIG + lines + "\n")
+        key = lines.splitlines()[-1].split(" = ")[0]
+        base = re.sub(rf"^{key} = .*\n", "", BASE_CONFIG, flags=re.M)
+        code, _, err, out = self._train(tmp_path, capsys, base + lines + "\n")
         assert code == 1
-        assert f"cfg.txt:{lineno}: " in err
+        assert f"cfg.txt:{lineno}: {key}: " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("epochs", [
@@ -224,6 +230,26 @@ class TestTrainCommand:
                               str(tmp_path / "m.cnm")], capsys)
         assert code == 1
 
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.bin"
+        cfg.write_bytes(b"arch = \xff\xfe\n")
+        code, _, err = run_cli(["train", "--config", str(cfg), "--data",
+                                str(tmp_path / "ghost.cds"), "--out",
+                                str(tmp_path / "m.cnm")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot read config {cfg}: ")
+
+    def test_unsplittable_dataset_exit_2_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BASE_CONFIG)
+        dataset = make_container(tmp_path, classes=2, per_class=1, size=16)
+        out = tmp_path / "m.cnm"
+        code, _, err = run_cli(["train", "--config", str(cfg), "--data",
+                                str(dataset), "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: class 0 has 1 sample(s); need >= 2\n"
+        assert not out.exists()
+
     def test_replay_echo_reproduces_model(self, tmp_path, capsys):
         code, stdout, _, out = self._train(tmp_path, capsys)
         assert code == 0
@@ -272,6 +298,18 @@ class TestEvalCommand:
                                 str(dataset)], capsys)
         assert code == 2
         assert "magic" in err
+
+    def test_class_count_mismatch_exit_2_one_line(self, tmp_path, capsys):
+        net = zoo.build("custom140_dw", input_dims=(1, 16, 16), num_classes=4)
+        model = tmp_path / "m.cnm"
+        zoo.save_model(net, model)
+        dataset = make_container(tmp_path, classes=2, per_class=3, size=16)
+        code, stdout, err = run_cli(["eval", "--model", str(model), "--data",
+                                     str(dataset)], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "shape mismatch" in err
+        assert stdout == ""
 
     def test_overflowing_model_exit_2(self, tmp_path, capsys):
         # finite weights, so save_model accepts them, but the forward overflows
@@ -352,6 +390,13 @@ class TestBenchCommand:
         code, _, err = run_cli(["bench", "--archs", "alexnet", "--iters", "2"],
                                capsys)
         assert code == 1
+
+    def test_pin_flag(self, capsys):
+        code, stdout, _ = run_cli(["bench", "--archs", "custom140_dw", "--pin",
+                                   "--batch", "2", "--warmup", "1",
+                                   "--iters", "3"], capsys)
+        assert code == 0
+        assert "pinned: True" in stdout
 
     def test_bad_flag_exit_1(self, capsys):
         code, _, _ = run_cli(["bench", "--format", "xml"], capsys)

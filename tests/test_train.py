@@ -296,9 +296,8 @@ class TestEvaluate:
         acc, per_class, _ = evaluate(net, ds)
         correct = 0
         for i in range(len(ds)):
-            x, label = ds.sample(i)
-            probs = net.forward(x.astype(np.float32))
-            if int(np.argmax(probs[0, :, 0, 0])) == label:
+            probs = net.forward(ds.images[i : i + 1].astype(np.float32))
+            if int(np.argmax(probs[0, :, 0, 0])) == ds.labels[i]:
                 correct += 1
         assert acc == pytest.approx(correct / len(ds))
 
