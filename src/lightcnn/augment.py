@@ -10,7 +10,7 @@ fixed, documented order, so streams stay aligned across runs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +31,26 @@ CUTOUT = "cutout"
 OP_ORDER = [HFLIP, VFLIP, ROTATION, GAUSSIAN_BLUR, SHIFT_SCALE_ROTATE,
             RANDOM_CROP, BRIGHTNESS_CONTRAST, CUTOUT]
 
-_DEFAULT_PARAMS = {
-    HFLIP: {},
-    VFLIP: {},
-    ROTATION: {"max_angle": 15.0},
-    GAUSSIAN_BLUR: {"sigma_lo": 0.1, "sigma_hi": 1.0},
-    SHIFT_SCALE_ROTATE: {"max_shift": 0.1, "max_scale": 0.1, "max_angle": 15.0},
-    RANDOM_CROP: {"crop": 24},
-    BRIGHTNESS_CONTRAST: {"max_brightness": 0.2, "max_contrast": 0.2},
-    CUTOUT: {"size": 5},
-}
+# the ops' fixed ranges: each draw is uniform on [-max, max], sigma on
+# [lo, hi]; angles in degrees, shifts a fraction of the side, sizes in pixels
+ROTATION_MAX_ANGLE = 15.0
+BLUR_SIGMA_LO, BLUR_SIGMA_HI = 0.1, 1.0
+SSR_MAX_SHIFT, SSR_MAX_SCALE, SSR_MAX_ANGLE = 0.1, 0.1, 15.0
+CROP_SIZE = 24
+MAX_BRIGHTNESS, MAX_CONTRAST = 0.2, 0.2
+CUTOUT_SIZE = 5
 
 
 @dataclass(frozen=True)
 class AugmentOp:
     kind: str
     probability: float = 1.0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in OP_ORDER:
             raise ValueError(f"unknown augmentation {self.kind!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        merged = dict(_DEFAULT_PARAMS[self.kind])
-        for key, value in self.params.items():
-            if key not in merged:
-                raise ValueError(f"{self.kind} has no parameter {key!r}")
-            merged[key] = value
-        object.__setattr__(self, "params", merged)
 
 
 def _check_image(image):
@@ -141,12 +132,11 @@ def apply(op: AugmentOp, image: np.ndarray, rng: Rng) -> np.ndarray:
     """Apply one augmentation; identity (a copy) when the probability fails."""
     _check_image(image)
     h, w = image.shape[2], image.shape[3]
-    p = op.params
 
-    if op.kind == RANDOM_CROP and not 1 <= p["crop"] <= min(h, w):
-        raise ValueError(f"crop size {p['crop']} does not fit a {h}x{w} image")
-    if op.kind == CUTOUT and not 1 <= p["size"] <= min(h, w):
-        raise ValueError(f"cutout size {p['size']} does not fit a {h}x{w} image")
+    if op.kind == RANDOM_CROP and CROP_SIZE > min(h, w):
+        raise ValueError(f"crop size {CROP_SIZE} does not fit a {h}x{w} image")
+    if op.kind == CUTOUT and CUTOUT_SIZE > min(h, w):
+        raise ValueError(f"cutout size {CUTOUT_SIZE} does not fit a {h}x{w} image")
 
     if rng.uniform() >= op.probability:
         return image.copy()
@@ -156,40 +146,33 @@ def apply(op: AugmentOp, image: np.ndarray, rng: Rng) -> np.ndarray:
     if op.kind == VFLIP:
         return np.ascontiguousarray(image[:, :, ::-1, :])
     if op.kind == ROTATION:
-        a = p["max_angle"]
-        angle = rng.uniform(-a, a) if a > 0 else 0.0
-        return warp_affine(image, angle=angle)
+        return warp_affine(image, angle=rng.uniform(-ROTATION_MAX_ANGLE, ROTATION_MAX_ANGLE))
     if op.kind == GAUSSIAN_BLUR:
-        sigma = rng.uniform(p["sigma_lo"], p["sigma_hi"])
-        return _gaussian_blur3(image, sigma)
+        return _gaussian_blur3(image, rng.uniform(BLUR_SIGMA_LO, BLUR_SIGMA_HI))
     if op.kind == SHIFT_SCALE_ROTATE:
         # draw order: shift_y, shift_x, scale, angle
-        ms, mc, ma = p["max_shift"], p["max_scale"], p["max_angle"]
-        dy = rng.uniform(-ms, ms) * h if ms > 0 else 0.0
-        dx = rng.uniform(-ms, ms) * w if ms > 0 else 0.0
-        scale = 1.0 + (rng.uniform(-mc, mc) if mc > 0 else 0.0)
-        angle = rng.uniform(-ma, ma) if ma > 0 else 0.0
+        dy = rng.uniform(-SSR_MAX_SHIFT, SSR_MAX_SHIFT) * h
+        dx = rng.uniform(-SSR_MAX_SHIFT, SSR_MAX_SHIFT) * w
+        scale = 1.0 + rng.uniform(-SSR_MAX_SCALE, SSR_MAX_SCALE)
+        angle = rng.uniform(-SSR_MAX_ANGLE, SSR_MAX_ANGLE)
         return warp_affine(image, angle=angle, scale=scale, shift=(dy, dx))
     if op.kind == RANDOM_CROP:
-        s = p["crop"]
-        top = rng.below(h - s + 1)
-        left = rng.below(w - s + 1)
-        crop = image[0, 0, top:top + s, left:left + s].astype(np.float64)
+        top = rng.below(h - CROP_SIZE + 1)
+        left = rng.below(w - CROP_SIZE + 1)
+        crop = image[0, 0, top:top + CROP_SIZE, left:left + CROP_SIZE].astype(np.float64)
         out = resize_bilinear(crop, h, w)
         return np.clip(out, 0.0, 1.0)[None, None].astype(image.dtype)
     if op.kind == BRIGHTNESS_CONTRAST:
         # draw order: brightness, contrast
-        mb, mc = p["max_brightness"], p["max_contrast"]
-        b = rng.uniform(-mb, mb) if mb > 0 else 0.0
-        c = rng.uniform(-mc, mc) if mc > 0 else 0.0
+        b = rng.uniform(-MAX_BRIGHTNESS, MAX_BRIGHTNESS)
+        c = rng.uniform(-MAX_CONTRAST, MAX_CONTRAST)
         out = (image.astype(np.float64) - 0.5) * (1.0 + c) + 0.5 + b
         return np.clip(out, 0.0, 1.0).astype(image.dtype)
     if op.kind == CUTOUT:
-        s = p["size"]
-        top = rng.below(h - s + 1)
-        left = rng.below(w - s + 1)
+        top = rng.below(h - CUTOUT_SIZE + 1)
+        left = rng.below(w - CUTOUT_SIZE + 1)
         out = image.copy()
-        out[0, 0, top:top + s, left:left + s] = 0.0
+        out[0, 0, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = 0.0
         return out
     raise AssertionError(f"unhandled op kind {op.kind!r}")
 

@@ -166,6 +166,8 @@ def _require_min(args, **minimums) -> None:
 
 def cmd_synth(args) -> int:
     _require_min(args, classes=2, per_class=1, size=1)
+    if args.classes > data_mod.MAX_CLASSES:
+        raise UsageError(f"--classes must be <= {data_mod.MAX_CLASSES}")
     ds = data_mod.synth(args.classes, args.per_class, dims=args.size,
                         seed=args.seed)
     try:
@@ -277,11 +279,10 @@ def cmd_bench(args) -> int:
     if not names:
         raise UsageError("--archs gave no architecture names")
     _require_min(args, batch=1, warmup=0, iters=1)
+    config = bench_mod.BenchConfig(batch_size=args.batch, warmup_iters=args.warmup,
+                                   measure_iters=args.iters, pin_core=args.pin,
+                                   seed=args.seed)
     try:
-        config = bench_mod.BenchConfig(batch_size=args.batch,
-                                       warmup_iters=args.warmup,
-                                       measure_iters=args.iters,
-                                       pin_core=args.pin, seed=args.seed)
         models = [zoo.build(name, seed=args.seed) for name in names]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

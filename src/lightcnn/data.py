@@ -21,6 +21,7 @@ from .tensor import Rng
 
 MAGIC = b"CDS1"
 _HEADER = struct.Struct("<4sIIII")
+MAX_CLASSES = 255  # the most classes a container holds (labels are u8)
 
 
 @dataclass
@@ -73,8 +74,8 @@ def describe(ds: Dataset) -> str:
 # ---------------------------------------------------------------- container
 
 def save_container(ds: Dataset, path) -> None:
-    if ds.num_classes > 255:
-        raise ValueError("container stores labels as u8; num_classes > 255")
+    if ds.num_classes > MAX_CLASSES:
+        raise ValueError(f"container stores labels as u8; num_classes > {MAX_CLASSES}")
     n = len(ds)
     h, w = ds.dims
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)

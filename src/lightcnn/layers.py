@@ -1,16 +1,16 @@
 """Forward and backward implementations of every layer the engine uses.
 
 Layer vocabulary: 3x3 convolution, depth-wise separable convolution (a
-per-channel 3x3 stage followed by a 1x1 point-wise stage), point-wise
-convolution, ReLU, 2x2 max pooling, blur pooling (binomial low-pass filter
-before stride-2 subsampling), global average pooling, squeeze-and-excite
-channel gating, a dense classifier head, and softmax.
+per-channel 3x3 stage followed by a 1x1 point-wise stage), ReLU, 2x2 max
+pooling, blur pooling (binomial low-pass filter before stride-2
+subsampling), global average pooling, squeeze-and-excite channel gating, a
+dense classifier head, and softmax.
 
 Activations are NCHW rank-4 arrays throughout; the dense head and softmax
 keep the convention with trailing 1x1 spatial dims.  Convolutions are
 cross-correlations with "same" padding (pad=1); a direct-loop oracle lives in
 the test suite.  Two kernels are shared: the channel GEMM (``_pointwise_*``),
-which the 1x1 stages and the 3x3 convolution (on its im2col matrix) run, and
+which the 1x1 stage and the 3x3 convolution (on its im2col matrix) run, and
 the 3x3 tap walk (``_taps``), which the depth-wise stage, the im2col adjoint
 and the reflect-padded blur (``_blur3``: blur pooling and the augmentation
 blur) step through at their stride.  Backward passes are
@@ -43,7 +43,6 @@ from .tensor import Rng, default_dtype
 
 CONV3 = "conv3"
 CONV_DW = "conv_dw"
-POINTWISE = "pointwise"
 RELU = "relu"
 MAXPOOL2 = "maxpool2"
 BLURPOOL2 = "blurpool2"
@@ -62,9 +61,9 @@ class LayerSpec:
     """Declarative description of one layer.
 
     ``in_channels``/``out_channels`` must be positive for every kind, and
-    equal for the shape-preserving ones (all but conv3, conv_dw, pointwise
-    and dense).  ``stride`` applies to the conv kinds; ``se_reduction``
-    divides the channel count to size the squeeze-and-excite hidden layer.
+    equal for the shape-preserving ones (all but conv3, conv_dw and dense).
+    ``stride`` applies to the conv kinds; ``se_reduction`` divides the
+    channel count to size the squeeze-and-excite hidden layer.
     """
 
     kind: str
@@ -80,7 +79,7 @@ class LayerSpec:
             raise ValueError(f"stride must be 1 or 2, got {self.stride}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError(f"{self.kind} needs positive channel counts")
-        if self.kind not in (CONV3, CONV_DW, POINTWISE, DENSE):
+        if self.kind not in (CONV3, CONV_DW, DENSE):
             if self.in_channels != self.out_channels:
                 raise ValueError(
                     f"{self.kind} preserves channel count; got "
@@ -314,8 +313,8 @@ class DepthwiseSeparable(Layer):
         for u, v, rows, cols in _taps(self.spec.stride, oh, ow):
             mid += xp[:, rows, cols] * k[u, v]
         mid += self.dw_b
-        # the GEMM reads a (C, N*H*W) copy, as in PointwiseConv: given the
-        # transposed view instead, BLAS rounds differently at small batches
+        # the GEMM reads a contiguous (C, N*H*W) copy: given the transposed
+        # view instead, BLAS rounds differently at small batches
         mid_m = np.ascontiguousarray(mid.reshape(-1, c).T)
         out = _pointwise_forward(mid_m, self.pw_w, self.pw_b, (n, oh, ow))
         if train:
@@ -341,35 +340,6 @@ class DepthwiseSeparable(Layer):
             "pw_b": dpw_b,
         }
         return np.ascontiguousarray(dxp[:, 1 : hp - 1, 1 : wp - 1].transpose(0, 3, 1, 2))
-
-
-class PointwiseConv(Layer):
-    """Standalone 1x1 convolution."""
-
-    def __init__(self, spec: LayerSpec, rng: Rng | None = None):
-        super().__init__(spec)
-        cin, cout = spec.in_channels, spec.out_channels
-        self.w = _he_init(rng, (cout, cin), cin)
-        self.b = np.zeros(cout, dtype=default_dtype())
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def forward(self, x, train=True):
-        self._check_channels(x, "input channels")
-        n, cin, h, w = x.shape
-        xm = x.transpose(1, 0, 2, 3).reshape(cin, -1)
-        out = _pointwise_forward(xm, self.w, self.b, (n, h, w))
-        if train:
-            self._cache = (xm, x.shape)
-        return out
-
-    def backward(self, grad_out):
-        xm, (n, cin, h, w) = self._require_cache()
-        gmat, dw, db = _pointwise_backward(grad_out, xm)
-        self._grads = {"w": dw, "b": db}
-        dxm = self.w.T @ gmat
-        return np.ascontiguousarray(dxm.reshape(cin, n, h, w).transpose(1, 0, 2, 3))
 
 
 class ReLU(Layer):
@@ -564,7 +534,6 @@ class Softmax(Layer):
 _TYPES = {
     CONV3: Conv3x3,
     CONV_DW: DepthwiseSeparable,
-    POINTWISE: PointwiseConv,
     RELU: ReLU,
     MAXPOOL2: MaxPool2,
     BLURPOOL2: BlurPool2,

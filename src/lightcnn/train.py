@@ -22,6 +22,7 @@ from .layers import Network, softmax_rows
 from .tensor import Rng
 
 LOG_FLOOR = 1e-12
+EVAL_BATCH = 256  # images per evaluate forward
 
 
 class NonFiniteLoss(ValueError):
@@ -287,7 +288,7 @@ def _diverged(loss: float, epoch: int, step: int) -> ValueError:
                       f"step {step}")
 
 
-def evaluate(network: Network, ds: Dataset, batch_size: int = 256):
+def evaluate(network: Network, ds: Dataset):
     """Clean-pass metrics: (accuracy, per-class accuracy, mean loss).
 
     Predictions are argmax over softmax outputs; ties resolve to the lowest
@@ -305,9 +306,9 @@ def evaluate(network: Network, ds: Dataset, batch_size: int = 256):
     correct = np.zeros(num_classes, dtype=np.int64)
     totals = np.zeros(num_classes, dtype=np.int64)
     loss_sum = 0.0
-    for start in range(0, len(ds), batch_size):
-        x = ds.images[start:start + batch_size].astype(dtype)
-        labels = ds.labels[start:start + batch_size]
+    for start in range(0, len(ds), EVAL_BATCH):
+        x = ds.images[start:start + EVAL_BATCH].astype(dtype)
+        labels = ds.labels[start:start + EVAL_BATCH]
         b = len(labels)
         logits = network.forward_logits(x, train=False).reshape(b, num_classes)
         probs = softmax_rows(logits.astype(np.float64))

@@ -120,12 +120,12 @@ def count_params(network: Network):
     return total, breakdown
 
 
-def describe(names=ARCH_NAMES, num_classes=10) -> str:
-    """Markdown table of architectures, conv counts, and parameter totals."""
+def describe() -> str:
+    """Markdown table of every architecture's convs, params and budget."""
     lines = ["| model | convs | params | budget |",
              "| --- | --- | --- | --- |"]
-    for name in names:
-        net = build(name, num_classes=num_classes)
+    for name in ARCH_NAMES:
+        net = build(name)
         total, _ = count_params(net)
         lines.append(f"| {name} | {len(_ARCHS[name][0])} | {total:,} | {PARAM_BUDGETS[name]:,} |")
     return "\n".join(lines)

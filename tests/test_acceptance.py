@@ -21,7 +21,7 @@ from lightcnn.augment import mixup
 from lightcnn.cli import main
 from lightcnn.layers import (
     LayerSpec, Network, make_layer,
-    CONV3, CONV_DW, POINTWISE, RELU, MAXPOOL2, BLURPOOL2, GAP,
+    CONV3, CONV_DW, RELU, MAXPOOL2, BLURPOOL2, GAP,
     SQUEEZE_EXCITE, DENSE, SOFTMAX,
 )
 from lightcnn.tensor import Rng, using_dtype
@@ -106,7 +106,6 @@ def _grad_errors(lay, x):
 _LAYER_CASES = [
     (CONV3, 2, 3, 5),
     (CONV_DW, 3, 4, 5),
-    (POINTWISE, 3, 5, 4),
     (RELU, 2, 2, 5),
     (MAXPOOL2, 2, 2, 6),
     (BLURPOOL2, 2, 2, 6),

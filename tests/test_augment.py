@@ -24,15 +24,6 @@ class TestOpConstruction:
         with pytest.raises(ValueError):
             AugmentOp(HFLIP, probability=1.5)
 
-    def test_unknown_param(self):
-        with pytest.raises(ValueError):
-            AugmentOp(CUTOUT, params={"radius": 3})
-
-    def test_param_defaults_merged(self):
-        op = AugmentOp(SHIFT_SCALE_ROTATE, params={"max_shift": 0.2})
-        assert op.params["max_shift"] == 0.2
-        assert op.params["max_angle"] == 15.0
-
 
 class TestFlips:
     def test_hflip_twice_is_identity(self, rng):
@@ -92,60 +83,76 @@ class TestCutout:
     def test_exact_pixel_count_5x5(self):
         # an all-ones 28x28 image: the op must zero exactly 25 pixels
         x = np.ones((1, 1, 28, 28))
-        y = apply(AugmentOp(CUTOUT, params={"size": 5}), x, Rng(7))
+        y = apply(AugmentOp(CUTOUT), x, Rng(7))
         changed = (y != x).sum()
         assert changed == 25
         assert (y == 0.0).sum() == 25
 
     def test_patch_is_contiguous_square(self):
         x = np.ones((1, 1, 28, 28))
-        y = apply(AugmentOp(CUTOUT, params={"size": 5}), x, Rng(11))
+        y = apply(AugmentOp(CUTOUT), x, Rng(11))
         rows = np.where((y[0, 0] == 0).any(axis=1))[0]
         cols = np.where((y[0, 0] == 0).any(axis=0))[0]
         assert len(rows) == 5 and rows[-1] - rows[0] == 4
         assert len(cols) == 5 and cols[-1] - cols[0] == 4
 
     def test_patch_always_inside(self):
+        assert augment.CUTOUT_SIZE == 5
         x = np.ones((1, 1, 10, 10))
-        op = AugmentOp(CUTOUT, params={"size": 4})
+        op = AugmentOp(CUTOUT)
         for seed in range(200):
             y = apply(op, x, Rng(seed))
-            assert (y == 0.0).sum() == 16  # never clipped by the border
+            assert (y == 0.0).sum() == 25  # never clipped by the border
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
-            apply(AugmentOp(CUTOUT, params={"size": 29}),
-                  np.ones((1, 1, 28, 28)), Rng(0))
+            apply(AugmentOp(CUTOUT), np.ones((1, 1, 4, 28)), Rng(0))
 
 
 class TestCropAndPhoto:
     def test_crop_restores_dims(self, rng):
-        op = AugmentOp(RANDOM_CROP, params={"crop": 20})
+        op = AugmentOp(RANDOM_CROP)
         y = apply(op, _image(rng), Rng(5))
         assert y.shape == (1, 1, 28, 28)
 
     def test_crop_full_size_identity(self, rng):
-        x = _image(rng)
-        y = apply(AugmentOp(RANDOM_CROP, params={"crop": 28}), x, Rng(5))
+        assert augment.CROP_SIZE == 24
+        x = _image(rng, 24, 24)
+        y = apply(AugmentOp(RANDOM_CROP), x, Rng(5))
         np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_crop_oversize_rejected(self, rng):
         with pytest.raises(ValueError):
-            apply(AugmentOp(RANDOM_CROP, params={"crop": 30}), _image(rng), Rng(0))
+            apply(AugmentOp(RANDOM_CROP), _image(rng, 28, 23), Rng(0))
+
+    @staticmethod
+    def _brightness_contrast(seed):
+        """Replay apply's draws for this stream: gate, brightness, contrast."""
+        rng = Rng(seed)
+        rng.uniform()
+        b = rng.uniform(-augment.MAX_BRIGHTNESS, augment.MAX_BRIGHTNESS)
+        c = rng.uniform(-augment.MAX_CONTRAST, augment.MAX_CONTRAST)
+        return b, c
 
     def test_brightness_shifts_mean(self):
+        # contrast scales about 0.5, so a flat 0.5 image moves by b alone
         x = np.full((1, 1, 8, 8), 0.5)
-        op = AugmentOp(BRIGHTNESS_CONTRAST,
-                       params={"max_brightness": 0.2, "max_contrast": 0.0})
-        means = [apply(op, x, Rng(s))[0, 0].mean() for s in range(50)]
+        op = AugmentOp(BRIGHTNESS_CONTRAST)
+        means = []
+        for s in range(50):
+            b, _ = self._brightness_contrast(s)
+            y = apply(op, x, Rng(s))
+            np.testing.assert_array_equal(y, 0.5 + b)
+            means.append(y[0, 0].mean())
         assert min(means) < 0.45 and max(means) > 0.55
 
-    def test_contrast_preserves_midpoint(self):
-        x = np.full((1, 1, 8, 8), 0.5)
-        op = AugmentOp(BRIGHTNESS_CONTRAST,
-                       params={"max_brightness": 0.0, "max_contrast": 0.3})
+    def test_contrast_preserves_midpoint(self, rng):
+        x = _image(rng, 8, 8)
+        op = AugmentOp(BRIGHTNESS_CONTRAST)
         for s in range(20):
-            np.testing.assert_allclose(apply(op, x, Rng(s)), 0.5, atol=1e-12)
+            b, c = self._brightness_contrast(s)
+            want = np.clip((x - 0.5) * (1.0 + c) + 0.5 + b, 0.0, 1.0)
+            np.testing.assert_array_equal(apply(op, x, Rng(s)), want)
 
     def test_blur_preserves_constant(self):
         x = np.full((1, 1, 8, 8), 0.7)

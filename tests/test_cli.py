@@ -417,7 +417,8 @@ class TestTopLevel:
         (["bench", "--archs", "custom140_dw", "--iters", "0"], "--iters"),
         (["bench", "--archs", "custom140_dw", "--warmup", "-1"], "--warmup"),
         (["synth", "--size", "0", "--out", "x.cds"], "--size"),
-    ], ids=["argv0", "argv1", "argv2", "argv3"])
+        (["synth", "--classes", "256", "--out", "x.cds"], "--classes"),
+    ], ids=["argv0", "argv1", "argv2", "argv3", "argv4"])
     def test_bad_number_one_error_line(self, tmp_path, argv, flag):
         # a real process, so an uncaught exception would show its traceback
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))

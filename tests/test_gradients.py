@@ -11,7 +11,7 @@ import pytest
 from lightcnn import layers
 from lightcnn.layers import (
     LayerSpec, make_layer, Network,
-    CONV3, CONV_DW, POINTWISE, RELU, MAXPOOL2, BLURPOOL2, GAP,
+    CONV3, CONV_DW, RELU, MAXPOOL2, BLURPOOL2, GAP,
     SQUEEZE_EXCITE, DENSE, SOFTMAX,
 )
 from lightcnn.tensor import Rng
@@ -76,12 +76,6 @@ class TestLayerGradients:
             stride = 2 if seed % 2 else 1
             lay = _make(CONV_DW, 3, 4, stride, seed)
             _check_layer(lay, _input(rng, 2, 3, 5, 5))
-
-    def test_pointwise(self, f64):
-        for seed in range(5):
-            rng = Rng(3000 + seed)
-            lay = _make(POINTWISE, 3, 5, 1, seed)
-            _check_layer(lay, _input(rng, 2, 3, 4, 4))
 
     def test_relu(self, f64):
         for seed in range(5):

@@ -4,7 +4,7 @@ import pytest
 from lightcnn import layers, tensor
 from lightcnn.layers import (
     LayerSpec, make_layer, Network,
-    CONV3, CONV_DW, POINTWISE, RELU, MAXPOOL2, BLURPOOL2, GAP,
+    CONV3, CONV_DW, RELU, MAXPOOL2, BLURPOOL2, GAP,
     SQUEEZE_EXCITE, DENSE, SOFTMAX,
 )
 from lightcnn.tensor import Rng
@@ -109,25 +109,6 @@ class TestDepthwiseSeparable:
             dw = _layer(CONV_DW, cin, cout).param_count()
             full = _layer(CONV3, cin, cout).param_count()
             assert dw < full
-
-
-class TestPointwise:
-    def test_matches_oracle(self, f64):
-        rng = Rng(31)
-        lay = _layer(POINTWISE, 5, 3)
-        x = rng.normal_array(2 * 5 * 4 * 4).reshape(2, 5, 4, 4)
-        want = oracles.pointwise_direct(x, lay.w, lay.b)
-        assert oracles.max_rel_err(lay.forward(x), want) < 1e-12
-
-    def test_is_per_pixel_dense(self, f64):
-        # every spatial position must see the same channel mixing
-        lay = _layer(POINTWISE, 3, 2)
-        x = Rng(8).normal_array(1 * 3 * 2 * 2).reshape(1, 3, 2, 2)
-        y = lay.forward(x)
-        for i in range(2):
-            for j in range(2):
-                want = lay.w @ x[0, :, i, j] + lay.b
-                np.testing.assert_allclose(y[0, :, i, j], want, atol=1e-12)
 
 
 class TestReLU:
@@ -330,8 +311,7 @@ class TestSoftmax:
 
 
 class TestLayerContracts:
-    KINDS = [CONV3, CONV_DW, POINTWISE, RELU, MAXPOOL2, BLURPOOL2, GAP,
-             SQUEEZE_EXCITE, DENSE, SOFTMAX]
+    KINDS = layers.KINDS
 
     def test_forward_is_pure(self, f64):
         # same layer, same input, run twice: bit-identical output,
@@ -390,7 +370,7 @@ class TestLayerContracts:
 
     def test_param_count_matches_arrays(self):
         for kind in self.KINDS:
-            lay = _layer(kind, 8, 12) if kind in (CONV3, CONV_DW, POINTWISE, DENSE) \
+            lay = _layer(kind, 8, 12) if kind in (CONV3, CONV_DW, DENSE) \
                 else _layer(kind, 8, 8)
             total = sum(v.size for v in lay.params().values())
             assert lay.param_count() == total

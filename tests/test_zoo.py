@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from lightcnn import zoo
+from lightcnn import layers, zoo
 from lightcnn.layers import (
     CONV3, CONV_DW, MAXPOOL2, BLURPOOL2, GAP, DENSE, SOFTMAX, SQUEEZE_EXCITE,
 )
@@ -69,6 +69,13 @@ class TestRecipes:
             for s in specs:
                 assert s.in_channels == cin, f"{name}: broken chain at {s.kind}"
                 cin = s.out_channels
+
+    def test_every_layer_kind_is_built_by_some_recipe(self):
+        # a kind no zoo model builds is code no production run reaches
+        built = {s.kind for name in ARCH_NAMES
+                 for blurpool in (False, True) for se in (False, True)
+                 for s in arch_spec(name, blurpool=blurpool, squeeze_excite=se)}
+        assert built == set(layers.KINDS)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
