@@ -93,6 +93,8 @@ def load_container(path) -> Dataset:
     magic, count, h, w, num_classes = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if h < 1 or w < 1:
+        raise ValueError(f"{path}: empty image plane {h}x{w}; need h, w >= 1")
     record = 1 + h * w
     expected = _HEADER.size + count * record
     if len(raw) != expected:

@@ -8,17 +8,17 @@ dense classifier head, and softmax.
 
 Activations are NCHW rank-4 arrays throughout; the dense head and softmax
 keep the convention with trailing 1x1 spatial dims.  Convolutions are
-cross-correlations with "same" padding (pad=1); a direct-loop oracle lives in
-the test suite.  Two kernels are shared: the channel GEMM (``_pointwise_*``),
-which the 1x1 stage and the 3x3 convolution (on its im2col matrix) run, and
-the 3x3 tap walk (``_taps``), which the depth-wise stage, the im2col adjoint
-and the reflect-padded blur (``_blur3``: blur pooling and the augmentation
-blur) step through at their stride.  Backward passes are
-hand-written per layer and validated against central finite differences.
-The im2col unfold and ``_blur3`` pad through ``_pad1``: one allocation, an
-interior copy and, for the mirror, four border slice copies.  numpy.pad
-spends about 30 us of Python work per call however small the array, a large
-share of a batch-1 forward.
+cross-correlations at stride 1 with "same" padding (pad=1), so they keep h x w;
+a direct-loop oracle lives in the test suite.  Two kernels are shared: the
+channel GEMM (``_pointwise_*``), which the 1x1 stage and the 3x3 convolution
+(on its im2col matrix) run, and the 3x3 tap walk (``_taps``), which the
+depth-wise stage, the im2col adjoint and the reflect-padded blur (``_blur3``:
+blur pooling at stride 2, the augmentation blur at stride 1) step through.
+Backward passes are hand-written per layer and validated against central
+finite differences.  The im2col unfold and ``_blur3`` pad through ``_pad1``:
+one allocation, an interior copy and, for the mirror, four border slice
+copies.  numpy.pad spends about 30 us of Python work per call however small
+the array, a large share of a batch-1 forward.
 
 The 3x3 convolution is cache-blocked where it can be.  Its evaluation
 forward, and the input gradient of its backward pass, unfold (or fold) and
@@ -26,11 +26,13 @@ multiply one chunk of images at a time, sized so that a chunk's columns stay
 in L2 (``_CHUNK_BYTES``) for the GEMM that reads them; the whole-batch column
 matrix would go out to DRAM and back.  The training forward keeps the whole
 batch in one chunk, because the weight gradient is one GEMM over every
-column: summed over chunks it would round differently.  Every output is still
-one dot product over the same 9*cin values in the same order; with OpenBLAS
-a GEMM column's rounding was measured not to depend on the column count, so
-chunking leaves every result bit as it was.  A batch that fits one chunk
-(batch 1 always does) runs the unchunked code.
+column: summed over chunks it would round differently.  A chunk changes only
+each GEMM's column count.  With OpenBLAS in float32 that count was measured not
+to change a column's rounding once the GEMM has over about 1e6 multiply-adds,
+so at the zoo shapes a full chunk gives the whole batch's bits.  Smaller GEMMs
+(OpenBLAS's small-matrix kernel: a short last chunk, small shapes) and float64
+GEMMs can differ in the last bits.  A batch that fits one chunk (batch 1
+always does) runs the unchunked code.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ SOFTMAX = "softmax"
 
 # binomial 3x3 low-pass kernel; sums to 1 so constants pass through unchanged
 BLUR_KERNEL = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0]) / 16.0
+# squeeze-and-excite hidden width divisor; saved models' SE tensor shapes depend on it
+SE_REDUCTION = 4
 
 
 @dataclass(frozen=True)
@@ -62,21 +66,16 @@ class LayerSpec:
 
     ``in_channels``/``out_channels`` must be positive for every kind, and
     equal for the shape-preserving ones (all but conv3, conv_dw and dense).
-    ``stride`` applies to the conv kinds; ``se_reduction`` divides the
-    channel count to size the squeeze-and-excite hidden layer.
+    The conv kinds run at stride 1.
     """
 
     kind: str
     in_channels: int = 0
     out_channels: int = 0
-    stride: int = 1
-    se_reduction: int = 4
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.stride not in (1, 2):
-            raise ValueError(f"stride must be 1 or 2, got {self.stride}")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError(f"{self.kind} needs positive channel counts")
         if self.kind not in (CONV3, CONV_DW, DENSE):
@@ -84,8 +83,6 @@ class LayerSpec:
                 raise ValueError(
                     f"{self.kind} preserves channel count; got "
                     f"{self.in_channels} -> {self.out_channels}")
-        if self.kind == SQUEEZE_EXCITE and self.se_reduction < 1:
-            raise ValueError("se_reduction must be >= 1")
 
 
 class Layer:
@@ -136,11 +133,6 @@ def _he_init(rng: Rng | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray
     return rng.normal_array(n, 0.0, std).reshape(shape).astype(default_dtype())
 
 
-def _conv_out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
-    # pad=1, kernel=3: output is ceil(dim / stride) for stride 1 or 2
-    return (h - 1) // stride + 1, (w - 1) // stride + 1
-
-
 def _pad1(x: np.ndarray, reflect: bool = False) -> np.ndarray:
     """x with a 1-pixel border on both spatial axes, byte for byte as numpy.pad
     gives it in mode "constant" (zeros) or "reflect" (a mirror without edge
@@ -159,19 +151,14 @@ def _pad1(x: np.ndarray, reflect: bool = False) -> np.ndarray:
     return xp
 
 
-def _im2col3(x: np.ndarray, stride: int) -> np.ndarray:
-    """Unfold 3x3/pad-1 windows into a (c*9, n*oh*ow) matrix."""
+def _im2col3(x: np.ndarray) -> np.ndarray:
+    """Unfold 3x3/pad-1 windows into a (c*9, n*h*w) matrix."""
     n, c, h, w = x.shape
-    oh, ow = _conv_out_hw(h, w, stride)
     xp = _pad1(x)
-    sn, sc, sh, sw = xp.strides
+    # the two window axes step like the two spatial axes
     win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, oh, ow, 3, 3),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * oh * ow)
+        xp, (n, c, h, w, 3, 3), xp.strides + xp.strides[2:], writeable=False)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * h * w)
 
 
 # Bytes of im2col columns (or of their gradient) per chunk of images: about
@@ -180,9 +167,9 @@ def _im2col3(x: np.ndarray, stride: int) -> np.ndarray:
 _CHUNK_BYTES = 2 << 20
 
 
-def _chunk_images(c: int, oh: int, ow: int, itemsize: int) -> int:
-    """Images per chunk whose (c*9, k*oh*ow) columns fit in _CHUNK_BYTES."""
-    return max(1, _CHUNK_BYTES // (9 * c * oh * ow * itemsize))
+def _chunk_images(c: int, h: int, w: int, itemsize: int) -> int:
+    """Images per chunk whose (c*9, k*h*w) columns fit in _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // (9 * c * h * w * itemsize))
 
 
 def _taps(stride: int, oh: int, ow: int):
@@ -198,18 +185,19 @@ def _blur3(x: np.ndarray, k: np.ndarray, stride: int) -> np.ndarray:
     taken at this stride."""
     n, c, h, w = x.shape
     xp = _pad1(x, reflect=True)
-    oh, ow = _conv_out_hw(h, w, stride)
+    # pad 1, kernel 3: each output side is ceil(side / stride)
+    oh, ow = (h - 1) // stride + 1, (w - 1) // stride + 1
     out = np.zeros((n, c, oh, ow), dtype=x.dtype)
     for u, v, rows, cols in _taps(stride, oh, ow):
         out += k[u, v] * xp[:, :, rows, cols]
     return out
 
 
-def _fold_cols3(dcols: np.ndarray, dxp: np.ndarray, stride: int, oh: int, ow: int) -> None:
+def _fold_cols3(dcols: np.ndarray, dxp: np.ndarray) -> None:
     """Adjoint of _im2col3: add column gradients onto the pad-1 input gradient dxp."""
-    n, c = dxp.shape[:2]
-    dc = dcols.reshape(c, 3, 3, n, oh, ow)
-    for u, v, rows, cols in _taps(stride, oh, ow):
+    n, c, hp, wp = dxp.shape
+    dc = dcols.reshape(c, 3, 3, n, hp - 2, wp - 2)
+    for u, v, rows, cols in _taps(1, hp - 2, wp - 2):
         dxp[:, :, rows, cols] += dc[:, u, v].transpose(1, 0, 2, 3)
 
 
@@ -232,7 +220,7 @@ def _pointwise_backward(grad_out: np.ndarray, xm: np.ndarray):
 
 
 class Conv3x3(Layer):
-    """3x3 cross-correlation, pad 1, stride 1 or 2, with bias."""
+    """3x3 cross-correlation, pad 1, stride 1, with bias: h x w in, h x w out."""
 
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
@@ -246,32 +234,31 @@ class Conv3x3(Layer):
     def forward(self, x, train=True):
         self._check_channels(x, "input channels")
         n, c, h, w = x.shape
-        oh, ow = _conv_out_hw(h, w, self.spec.stride)
         wm = self.w.reshape(self.spec.out_channels, -1)
         # training keeps the whole batch's columns for the weight gradient
-        k = n if train else _chunk_images(c, oh, ow, x.itemsize)
+        k = n if train else _chunk_images(c, h, w, x.itemsize)
         if k < n:
-            out = np.empty((n, self.spec.out_channels, oh, ow), np.result_type(x, wm))
+            out = np.empty((n, self.spec.out_channels, h, w), np.result_type(x, wm))
             for i in range(0, n, k):
-                cols = _im2col3(x[i : i + k], self.spec.stride)
-                out[i : i + k] = _pointwise_forward(cols, wm, self.b, (min(k, n - i), oh, ow))
+                cols = _im2col3(x[i : i + k])
+                out[i : i + k] = _pointwise_forward(cols, wm, self.b, (min(k, n - i), h, w))
             return out
-        cols = _im2col3(x, self.spec.stride)
-        out = _pointwise_forward(cols, wm, self.b, (n, oh, ow))
+        cols = _im2col3(x)
+        out = _pointwise_forward(cols, wm, self.b, (n, h, w))
         if train:
-            self._cache = (cols, x.shape, oh, ow)
+            self._cache = (cols, x.shape)
         return out
 
     def backward(self, grad_out):
-        cols, (n, c, h, w), oh, ow = self._require_cache()
+        cols, (n, c, h, w) = self._require_cache()
         gmat, dw, db = _pointwise_backward(grad_out, cols)
         self._grads = {"w": dw.reshape(self.w.shape), "b": db}
         wt = self.w.reshape(self.spec.out_channels, -1).T
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(wt, gmat))
-        k = _chunk_images(c, oh, ow, dxp.itemsize)
+        k = _chunk_images(c, h, w, dxp.itemsize)
         for i in range(0, n, k):
-            dcols = wt @ gmat[:, i * oh * ow : (i + k) * oh * ow]
-            _fold_cols3(dcols, dxp[i : i + k], self.spec.stride, oh, ow)
+            dcols = wt @ gmat[:, i * h * w : (i + k) * h * w]
+            _fold_cols3(dcols, dxp[i : i + k])
         return dxp[:, :, 1 : h + 1, 1 : w + 1]
 
 
@@ -305,32 +292,32 @@ class DepthwiseSeparable(Layer):
     def forward(self, x, train=True):
         self._check_channels(x, "input channels")
         n, c, h, w = x.shape
-        oh, ow = _conv_out_hw(h, w, self.spec.stride)
         xp = np.zeros((n, h + 2, w + 2, c), dtype=x.dtype)
         xp[:, 1 : h + 1, 1 : w + 1] = x.transpose(0, 2, 3, 1)
-        k = self._row_taps(ow)
-        mid = np.zeros((n, oh, ow, c), dtype=x.dtype)
-        for u, v, rows, cols in _taps(self.spec.stride, oh, ow):
+        k = self._row_taps(w)
+        mid = np.zeros((n, h, w, c), dtype=x.dtype)
+        for u, v, rows, cols in _taps(1, h, w):
             mid += xp[:, rows, cols] * k[u, v]
         mid += self.dw_b
         # the GEMM reads a contiguous (C, N*H*W) copy: given the transposed
         # view instead, BLAS rounds differently at small batches
         mid_m = np.ascontiguousarray(mid.reshape(-1, c).T)
-        out = _pointwise_forward(mid_m, self.pw_w, self.pw_b, (n, oh, ow))
+        out = _pointwise_forward(mid_m, self.pw_w, self.pw_b, (n, h, w))
         if train:
-            self._cache = (xp, mid_m, oh, ow)
+            self._cache = (xp, mid_m)
         return out
 
     def backward(self, grad_out):
-        xp, mid_m, oh, ow = self._require_cache()
+        xp, mid_m = self._require_cache()
         n, hp, wp, c = xp.shape
+        h, w = hp - 2, wp - 2
 
         gmat, dpw_w, dpw_b = _pointwise_backward(grad_out, mid_m)
-        dmid = np.ascontiguousarray((self.pw_w.T @ gmat).T).reshape(n, oh, ow, c)
-        k = self._row_taps(ow)
+        dmid = np.ascontiguousarray((self.pw_w.T @ gmat).T).reshape(n, h, w, c)
+        k = self._row_taps(w)
         ddw_w = np.empty((3, 3, c), dtype=self.dw_w.dtype)
         dxp = np.zeros_like(xp)
-        for u, v, rows, cols in _taps(self.spec.stride, oh, ow):
+        for u, v, rows, cols in _taps(1, h, w):
             ddw_w[u, v] = np.einsum("nijc,nijc->c", dmid, xp[:, rows, cols])
             dxp[:, rows, cols] += dmid * k[u, v]
         self._grads = {
@@ -339,7 +326,7 @@ class DepthwiseSeparable(Layer):
             "pw_w": dpw_w,
             "pw_b": dpw_b,
         }
-        return np.ascontiguousarray(dxp[:, 1 : hp - 1, 1 : wp - 1].transpose(0, 3, 1, 2))
+        return np.ascontiguousarray(dxp[:, 1 : h + 1, 1 : w + 1].transpose(0, 3, 1, 2))
 
 
 class ReLU(Layer):
@@ -440,7 +427,7 @@ class SqueezeExcite(Layer):
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
         c = spec.in_channels
-        hidden = max(1, c // spec.se_reduction)
+        hidden = max(1, c // SE_REDUCTION)
         self.w1 = _he_init(rng, (hidden, c), c)
         self.b1 = np.zeros(hidden, dtype=default_dtype())
         self.w2 = _he_init(rng, (c, hidden), hidden)

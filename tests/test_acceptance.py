@@ -102,7 +102,8 @@ def _grad_errors(lay, x):
     return worst
 
 
-# (kind, cin, cout, input h/w); strides alternate per trial for the convs
+# (kind, cin, cout, input h/w); squeeze-excite at 8 channels has a 2-wide
+# hidden layer
 _LAYER_CASES = [
     (CONV3, 2, 3, 5),
     (CONV_DW, 3, 4, 5),
@@ -110,7 +111,7 @@ _LAYER_CASES = [
     (MAXPOOL2, 2, 2, 6),
     (BLURPOOL2, 2, 2, 6),
     (GAP, 3, 3, 4),
-    (SQUEEZE_EXCITE, 4, 4, 4),
+    (SQUEEZE_EXCITE, 8, 8, 4),
     (DENSE, 6, 4, 1),
     (SOFTMAX, 5, 5, 1),
 ]
@@ -120,12 +121,8 @@ def test_criterion_03_gradients_match_finite_differences():
     t0 = time.perf_counter()
     with using_dtype("float64"):
         for kind, cin, cout, hw in _LAYER_CASES:
-            strided = kind in (CONV3, CONV_DW)
             for trial in range(5):
-                stride = 2 if strided and trial % 2 else 1
-                lay = make_layer(LayerSpec(kind, in_channels=cin,
-                                           out_channels=cout, stride=stride,
-                                           se_reduction=2),
+                lay = make_layer(LayerSpec(kind, in_channels=cin, out_channels=cout),
                                  Rng.derive(17, trial))
                 x = _rand(Rng.derive(18, trial), 2, cin, hw, hw)
                 if kind == RELU:
@@ -138,12 +135,12 @@ def test_criterion_03_gradients_match_finite_differences():
             LayerSpec(CONV3, 1, 3),
             LayerSpec(RELU, 3, 3),
             LayerSpec(BLURPOOL2, 3, 3),
-            LayerSpec(CONV_DW, 3, 4),
-            LayerSpec(RELU, 4, 4),
-            LayerSpec(SQUEEZE_EXCITE, 4, 4, se_reduction=2),
-            LayerSpec(MAXPOOL2, 4, 4),
-            LayerSpec(GAP, 4, 4),
-            LayerSpec(DENSE, 4, 3),
+            LayerSpec(CONV_DW, 3, 8),
+            LayerSpec(RELU, 8, 8),
+            LayerSpec(SQUEEZE_EXCITE, 8, 8),  # hidden width 8 // SE_REDUCTION = 2
+            LayerSpec(MAXPOOL2, 8, 8),
+            LayerSpec(GAP, 8, 8),
+            LayerSpec(DENSE, 8, 3),
             LayerSpec(SOFTMAX, 3, 3),
         ]
         net = Network("fd-probe",
@@ -181,27 +178,23 @@ def test_criterion_04_convolution_oracles():
             rng = Rng.derive(23, case)
             n, c_in, c_out = 1 + case % 2, 1 + case % 3, 1 + case % 4
             h, w = 3 + case % 4, 3 + (case // 2) % 4
-            stride = 1 + case % 2
-            lay = make_layer(LayerSpec(CONV3, in_channels=c_in,
-                                       out_channels=c_out, stride=stride),
+            lay = make_layer(LayerSpec(CONV3, in_channels=c_in, out_channels=c_out),
                              Rng.derive(23, case, 1))
             lay.b[...] = rng.normal_array(c_out)
             x = _rand(rng, n, c_in, h, w)
-            want = conv3x3_direct(x, lay.w, lay.b, stride)
+            want = conv3x3_direct(x, lay.w, lay.b)
             worst = max(worst, max_rel_err(lay.forward(x), want))
 
         for case in range(100):
             rng = Rng.derive(29, case)
             n, c_in, c_out = 1 + case % 2, 1 + case % 4, 1 + case % 3
             h, w = 3 + (case // 3) % 4, 3 + case % 4
-            stride = 1 + (case // 2) % 2
-            lay = make_layer(LayerSpec(CONV_DW, in_channels=c_in,
-                                       out_channels=c_out, stride=stride),
+            lay = make_layer(LayerSpec(CONV_DW, in_channels=c_in, out_channels=c_out),
                              Rng.derive(29, case, 1))
             lay.dw_b[...] = rng.normal_array(c_in)
             lay.pw_b[...] = rng.normal_array(c_out)
             x = _rand(rng, n, c_in, h, w)
-            mid = depthwise3_direct(x, lay.dw_w, lay.dw_b, stride)
+            mid = depthwise3_direct(x, lay.dw_w, lay.dw_b)
             want = pointwise_direct(mid, lay.pw_w, lay.pw_b)
             worst = max(worst, max_rel_err(lay.forward(x), want))
     elapsed = time.perf_counter() - t0

@@ -223,6 +223,17 @@ class TestTrainCommand:
         assert code == 2
         assert "magic" in err
 
+    def test_empty_image_plane_exit_2_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BASE_CONFIG)
+        bad = tmp_path / "flat.cds"
+        bad.write_bytes(data._HEADER.pack(data.MAGIC, 4, 0, 5, 2) + bytes([0, 1, 0, 1]))
+        code, _, err = run_cli(["train", "--config", str(cfg), "--data",
+                                str(bad), "--out", str(tmp_path / "m.cnm")],
+                               capsys)
+        assert code == 2
+        assert err == f"error: {bad}: empty image plane 0x5; need h, w >= 1\n"
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         dataset = make_container(tmp_path)
         code, _, _ = run_cli(["train", "--config", str(tmp_path / "none.txt"),

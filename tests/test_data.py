@@ -79,6 +79,14 @@ class TestContainer:
         with pytest.raises(ValueError, match="truncat"):
             load_container(p)
 
+    @pytest.mark.parametrize("h, w", [(0, 5), (5, 0)])
+    def test_empty_image_plane(self, tmp_path, h, w):
+        p = tmp_path / "set.cds"
+        p.write_bytes(data._HEADER.pack(data.MAGIC, 2, h, w, 2) + bytes([0, 1]))
+        with pytest.raises(ValueError) as exc:
+            load_container(p)
+        assert str(exc.value) == f"{p}: empty image plane {h}x{w}; need h, w >= 1"
+
     def test_label_out_of_range(self, tmp_path, rng):
         ds = _u8_dataset(rng, n=2, num_classes=4)
         p = tmp_path / "set.cds"

@@ -44,9 +44,8 @@ def _check_layer(lay, x, tol=TOL):
         assert err < tol, f"{name} grad rel err {err:.3e}"
 
 
-def _make(kind, cin, cout, stride=1, seed=0):
-    return make_layer(LayerSpec(kind, in_channels=cin, out_channels=cout,
-                                stride=stride, se_reduction=4), Rng(seed))
+def _make(kind, cin, cout, seed=0):
+    return make_layer(LayerSpec(kind, in_channels=cin, out_channels=cout), Rng(seed))
 
 
 def _input(rng, n, c, h, w):
@@ -57,66 +56,62 @@ class TestLayerGradients:
     def test_conv3x3(self, f64):
         for seed in range(5):
             rng = Rng(1000 + seed)
-            stride = 2 if seed % 2 else 1
-            lay = _make(CONV3, 2, 3, stride, seed)
-            _check_layer(lay, _input(rng, 2, 2, 5, 5))
+            _check_layer(_make(CONV3, 2, 3, seed), _input(rng, 2, 2, 5, 5))
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_conv3x3_chunked_input_gradient(self, f64, monkeypatch, stride):
-        # a budget of 2.5 images' columns folds a batch of 5 as 2, 2 and 1
-        oh, ow = layers._conv_out_hw(5, 5, stride)
-        monkeypatch.setattr(layers, "_CHUNK_BYTES", 5 * 9 * 2 * oh * ow * 8 // 2)
-        assert layers._chunk_images(2, oh, ow, 8) == 2
-        lay = _make(CONV3, 2, 3, stride, seed=7)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_conv3x3_chunked_input_gradient(self, f64, monkeypatch, k):
+        # a budget of k + 1/2 images' columns folds a batch of 5 in chunks of
+        # k: 1 each, or 2, 2 and 1
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", (2 * k + 1) * 9 * 2 * 5 * 5 * 8 // 2)
+        assert layers._chunk_images(2, 5, 5, 8) == k
+        lay = _make(CONV3, 2, 3, seed=7)
         _check_layer(lay, _input(Rng(1007), 5, 2, 5, 5))
 
     def test_depthwise_separable(self, f64):
         for seed in range(5):
             rng = Rng(2000 + seed)
-            stride = 2 if seed % 2 else 1
-            lay = _make(CONV_DW, 3, 4, stride, seed)
-            _check_layer(lay, _input(rng, 2, 3, 5, 5))
+            _check_layer(_make(CONV_DW, 3, 4, seed), _input(rng, 2, 3, 5, 5))
 
     def test_relu(self, f64):
         for seed in range(5):
             rng = Rng(4000 + seed)
             x = _input(rng, 2, 3, 4, 4)
             x = np.where(np.abs(x) < 0.1, x + 0.3, x)  # keep clear of the kink
-            _check_layer(_make(RELU, 3, 3, 1, seed), x)
+            _check_layer(_make(RELU, 3, 3, seed), x)
 
     def test_maxpool(self, f64):
         for seed in range(5):
             rng = Rng(5000 + seed)
             # continuous random input: ties have measure zero
-            _check_layer(_make(MAXPOOL2, 2, 2, 1, seed), _input(rng, 2, 2, 5, 5))
+            _check_layer(_make(MAXPOOL2, 2, 2, seed), _input(rng, 2, 2, 5, 5))
 
     def test_blurpool(self, f64):
         # odd and even squares, then non-square down to the smallest legal 2x3
         shapes = [(5 + seed % 2,) * 2 for seed in range(5)] + [(5, 6), (2, 3)]
         for seed, (h, w) in enumerate(shapes):
             rng = Rng(6000 + seed)
-            _check_layer(_make(BLURPOOL2, 2, 2, 1, seed), _input(rng, 2, 2, h, w))
+            _check_layer(_make(BLURPOOL2, 2, 2, seed), _input(rng, 2, 2, h, w))
 
     def test_gap(self, f64):
         for seed in range(5):
             rng = Rng(7000 + seed)
-            _check_layer(_make(GAP, 3, 3, 1, seed), _input(rng, 2, 3, 4, 5))
+            _check_layer(_make(GAP, 3, 3, seed), _input(rng, 2, 3, 4, 5))
 
     def test_squeeze_excite(self, f64):
         for seed in range(5):
             rng = Rng(8000 + seed)
-            _check_layer(_make(SQUEEZE_EXCITE, 8, 8, 1, seed),
+            _check_layer(_make(SQUEEZE_EXCITE, 8, 8, seed),
                          _input(rng, 2, 8, 4, 4))
 
     def test_dense(self, f64):
         for seed in range(5):
             rng = Rng(9000 + seed)
-            _check_layer(_make(DENSE, 6, 4, 1, seed), _input(rng, 3, 6, 1, 1))
+            _check_layer(_make(DENSE, 6, 4, seed), _input(rng, 3, 6, 1, 1))
 
     def test_softmax(self, f64):
         for seed in range(5):
             rng = Rng(10_000 + seed)
-            _check_layer(_make(SOFTMAX, 5, 5, 1, seed), _input(rng, 3, 5, 1, 1))
+            _check_layer(_make(SOFTMAX, 5, 5, seed), _input(rng, 3, 5, 1, 1))
 
 
 class TestNetworkGradient:
@@ -125,12 +120,12 @@ class TestNetworkGradient:
             LayerSpec(CONV3, 1, 3),
             LayerSpec(RELU, 3, 3),
             LayerSpec(BLURPOOL2, 3, 3),
-            LayerSpec(CONV_DW, 3, 4),
-            LayerSpec(RELU, 4, 4),
-            LayerSpec(SQUEEZE_EXCITE, 4, 4, se_reduction=2),
-            LayerSpec(MAXPOOL2, 4, 4),
-            LayerSpec(GAP, 4, 4),
-            LayerSpec(DENSE, 4, 3),
+            LayerSpec(CONV_DW, 3, 8),
+            LayerSpec(RELU, 8, 8),
+            LayerSpec(SQUEEZE_EXCITE, 8, 8),  # hidden width 8 // SE_REDUCTION = 2
+            LayerSpec(MAXPOOL2, 8, 8),
+            LayerSpec(GAP, 8, 8),
+            LayerSpec(DENSE, 8, 3),
             LayerSpec(SOFTMAX, 3, 3),
         ]
         return Network("grad-probe",

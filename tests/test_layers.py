@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lightcnn import layers, tensor
+from lightcnn import bench, layers, tensor, zoo
 from lightcnn.layers import (
     LayerSpec, make_layer, Network,
     CONV3, CONV_DW, RELU, MAXPOOL2, BLURPOOL2, GAP,
@@ -12,10 +12,8 @@ from lightcnn.tensor import Rng
 import oracles
 
 
-def _layer(kind, cin=3, cout=4, stride=1, seed=0, se_reduction=4):
-    spec = LayerSpec(kind, in_channels=cin, out_channels=cout, stride=stride,
-                     se_reduction=se_reduction)
-    return make_layer(spec, Rng(seed))
+def _layer(kind, cin=3, cout=4, seed=0):
+    return make_layer(LayerSpec(kind, in_channels=cin, out_channels=cout), Rng(seed))
 
 
 class TestConv3x3:
@@ -27,26 +25,48 @@ class TestConv3x3:
             cout = rng.below(4) + 1
             h = rng.below(6) + 3
             w = rng.below(6) + 3
-            stride = 1 if case % 3 else 2
-            lay = _layer(CONV3, cin, cout, stride, seed=case)
+            lay = _layer(CONV3, cin, cout, seed=case)
             x = rng.normal_array(n * cin * h * w).reshape(n, cin, h, w)
             got = lay.forward(x)
-            want = oracles.conv3x3_direct(x, lay.w, lay.b, stride)
+            want = oracles.conv3x3_direct(x, lay.w, lay.b)
             assert oracles.max_rel_err(got, want) < 1e-10
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_chunked_passes_match_direct_loops(self, f64, monkeypatch, stride):
-        # a budget of 2.5 images' columns splits a batch of 5 into 2, 2 and 1
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_chunked_passes_match_direct_loops(self, f64, monkeypatch, k):
+        # a budget of k + 1/2 images' columns splits a batch of 5 into chunks
+        # of k: 1 each (the custom590_3x3 16->16 layer at 56x56), or 2, 2 and 1
         n, cin, cout, h, w = 5, 3, 4, 7, 6
-        oh, ow = layers._conv_out_hw(h, w, stride)
-        monkeypatch.setattr(layers, "_CHUNK_BYTES", 5 * 9 * cin * oh * ow * 8 // 2)
-        assert layers._chunk_images(cin, oh, ow, 8) == 2
-        lay = _layer(CONV3, cin, cout, stride, seed=41)
+        monkeypatch.setattr(layers, "_CHUNK_BYTES", (2 * k + 1) * 9 * cin * h * w * 8 // 2)
+        assert layers._chunk_images(cin, h, w, 8) == k
+        lay = _layer(CONV3, cin, cout, seed=41)
         lay.b[:] = Rng(42).normal_array(cout)
         x = Rng(43).normal_array(n * cin * h * w).reshape(n, cin, h, w)
-        want = oracles.conv3x3_direct(x, lay.w, lay.b, stride)
+        want = oracles.conv3x3_direct(x, lay.w, lay.b)
         for train in (False, True):
             assert oracles.max_rel_err(lay.forward(x, train=train), want) < 1e-10
+
+    @pytest.mark.skipif("openblas" not in bench._blas_name().lower(),
+                        reason="GEMM rounding by column count was measured with OpenBLAS")
+    def test_full_chunks_match_whole_batch_at_zoo_shapes(self):
+        # each conv3 input shape of the zoo at 28x28, and of custom590_3x3 at
+        # 56x56 (the c3_590_bpse benchmark model), in float32: an evaluation
+        # forward over two full chunks gives the training forward's bytes.  A
+        # short last chunk need not (the module docstring says why).
+        shapes = set()
+        runs = [(name, (1, 28, 28)) for name in zoo.ARCH_NAMES]
+        for name, dims in runs + [("custom590_3x3", (1, 56, 56))]:
+            x = np.zeros((1,) + dims, np.float32)
+            for spec in zoo.arch_spec(name, input_dims=dims):
+                if spec.kind == CONV3:
+                    shapes.add((spec.in_channels, spec.out_channels) + x.shape[2:])
+                x = make_layer(spec, None).forward(x, train=False)
+        for cin, cout, h, w in sorted(shapes):
+            n = 2 * layers._chunk_images(cin, h, w, 4)
+            lay = _layer(CONV3, cin, cout, seed=cout)
+            x = Rng(cin).normal_array(n * cin * h * w).reshape(n, cin, h, w)
+            x = x.astype(np.float32)
+            chunked = lay.forward(x, train=False)
+            assert chunked.tobytes() == lay.forward(x, train=True).tobytes(), (cin, cout, h, w)
 
     def test_identity_kernel(self, f64):
         # a kernel with 1 at the centre and zero bias copies the input
@@ -57,11 +77,6 @@ class TestConv3x3:
             lay.w[c, c, 1, 1] = 1.0
         x = Rng(3).normal_array(2 * 2 * 5 * 5).reshape(2, 2, 5, 5)
         np.testing.assert_allclose(lay.forward(x), x, atol=1e-15)
-
-    def test_stride2_shape(self):
-        lay = _layer(CONV3, 1, 1, stride=2)
-        assert lay.forward(np.zeros((1, 1, 7, 7), np.float32)).shape == (1, 1, 4, 4)
-        assert lay.forward(np.zeros((1, 1, 8, 8), np.float32)).shape == (1, 1, 4, 4)
 
     def test_param_count(self):
         lay = _layer(CONV3, 5, 7)
@@ -77,11 +92,10 @@ class TestDepthwiseSeparable:
             cout = rng.below(4) + 1
             h = rng.below(6) + 3
             w = rng.below(6) + 3
-            stride = 1 if case % 3 else 2
-            lay = _layer(CONV_DW, cin, cout, stride, seed=100 + case)
+            lay = _layer(CONV_DW, cin, cout, seed=100 + case)
             x = rng.normal_array(n * cin * h * w).reshape(n, cin, h, w)
             got = lay.forward(x)
-            mid = oracles.depthwise3_direct(x, lay.dw_w, lay.dw_b, stride)
+            mid = oracles.depthwise3_direct(x, lay.dw_w, lay.dw_b)
             want = oracles.pointwise_direct(mid, lay.pw_w, lay.pw_b)
             assert oracles.max_rel_err(got, want) < 1e-10
 
@@ -268,12 +282,12 @@ class TestSqueezeExcite:
         np.testing.assert_allclose(lay.forward(x), 1.0, atol=1e-12)
 
     def test_hidden_width_floor(self):
-        lay = _layer(SQUEEZE_EXCITE, 2, 2, se_reduction=4)
-        assert lay.w1.shape == (1, 2)  # max(1, 2 // 4)
+        lay = _layer(SQUEEZE_EXCITE, 2, 2)
+        assert lay.w1.shape == (1, 2)  # max(1, 2 // SE_REDUCTION)
 
     def test_param_count(self):
-        lay = _layer(SQUEEZE_EXCITE, 16, 16, se_reduction=4)
-        hidden = 4
+        lay = _layer(SQUEEZE_EXCITE, 16, 16)
+        hidden = 4  # 16 // SE_REDUCTION, written out: saved models depend on it
         assert lay.param_count() == 16 * hidden + hidden + hidden * 16 + 16
 
 
@@ -361,8 +375,6 @@ class TestLayerContracts:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec(CONV3, in_channels=0, out_channels=4)
-        with pytest.raises(ValueError):
-            LayerSpec(CONV3, in_channels=4, out_channels=4, stride=3)
         with pytest.raises(ValueError):
             LayerSpec("warp", in_channels=4, out_channels=4)
         with pytest.raises(ValueError):

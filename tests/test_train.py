@@ -26,8 +26,9 @@ def probe_net(num_classes=10, in_hw=28, seed=0, width=8):
         LayerSpec(CONV3, 1, width),
         LayerSpec(RELU, width, width),
         LayerSpec(MAXPOOL2, width, width),
-        LayerSpec(CONV3, width, 2 * width, stride=2),
+        LayerSpec(CONV3, width, 2 * width),
         LayerSpec(RELU, 2 * width, 2 * width),
+        LayerSpec(MAXPOOL2, 2 * width, 2 * width),
         LayerSpec(GAP, 2 * width, 2 * width),
         LayerSpec(DENSE, 2 * width, num_classes),
         LayerSpec(SOFTMAX, num_classes, num_classes),
@@ -261,8 +262,8 @@ class TestEvaluate:
         net = probe_net(10, 16, seed=0)
         # zero out the classifier so logits are constant across classes
         params = net.params()
-        params["06.dense.w"][:] = 0.0
-        params["06.dense.b"][:] = 0.0
+        params["07.dense.w"][:] = 0.0
+        params["07.dense.b"][:] = 0.0
         acc, per_class, _ = evaluate(net, ds)
         assert acc == pytest.approx(0.1)
         # argmax ties resolve to class 0
@@ -312,7 +313,7 @@ class TestEvaluate:
         # finite weights whose float32 forward pass overflows
         ds = synth(2, 10, dims=16, seed=0)
         net = probe_net(2, 16, seed=0)
-        net.params()["06.dense.w"][:] = 3e38
+        net.params()["07.dense.w"][:] = 3e38
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=r"not finite on images 0\.\.19"):
             evaluate(net, ds)

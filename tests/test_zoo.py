@@ -129,7 +129,7 @@ class TestBudgets:
             for s in arch_spec(name, squeeze_excite=True):
                 if s.kind == SQUEEZE_EXCITE:
                     c = s.in_channels
-                    hidden = max(1, c // s.se_reduction)
+                    hidden = max(1, c // layers.SE_REDUCTION)
                     extra += c * hidden + hidden + hidden * c + c
             assert with_se == plain + extra
 
