@@ -32,7 +32,6 @@ class BenchConfig:
     batch_size: int = 32
     warmup_iters: int = 10
     measure_iters: int = 100
-    pin_core: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -89,15 +88,6 @@ def _blas_name() -> str:
         return "unknown"
 
 
-def _pin_to_one_core():
-    """Restrict the process to its first allowed core; returns the old mask."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    previous = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(previous)})
-    return previous
-
-
 def _timed_forwards(networks, x, warmup, iters):
     for _ in range(warmup):
         for net in networks:
@@ -122,15 +112,8 @@ def measure_all(networks: list[Network], config: BenchConfig):
         config.batch_size, c, h, w).astype(dtype)
     x_one = rng.uniform_array(c * h * w).reshape(1, c, h, w).astype(dtype)
 
-    previous = _pin_to_one_core() if config.pin_core else None
-    try:
-        batch = _timed_forwards(networks, x_batch, config.warmup_iters,
-                                config.measure_iters)
-        indiv = _timed_forwards(networks, x_one, config.warmup_iters,
-                                config.measure_iters)
-    finally:
-        if previous is not None:
-            os.sched_setaffinity(0, previous)
+    batch = _timed_forwards(networks, x_batch, config.warmup_iters, config.measure_iters)
+    indiv = _timed_forwards(networks, x_one, config.warmup_iters, config.measure_iters)
     return list(zip(batch, indiv))
 
 
@@ -171,8 +154,7 @@ def _meta_lines(report, prefix):
         f"{prefix} numpy: {report.numpy}  blas: {report.blas}",
         f"{prefix} threads: {report.threads}",
         f"{prefix} batch_size: {cfg.batch_size}  warmup: {cfg.warmup_iters}"
-        f"  iters: {cfg.measure_iters}  input: {INPUT_DIMS}"
-        f"  pinned: {cfg.pin_core}",
+        f"  iters: {cfg.measure_iters}  input: {INPUT_DIMS}",
     ]
 
 

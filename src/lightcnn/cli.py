@@ -214,7 +214,6 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     try:
-        network.set_params(final)
         zoo.save_model(network, out)
         report_path = args.report or out.with_suffix(".csv")
         Path(report_path).write_text(report.to_csv())
@@ -280,8 +279,7 @@ def cmd_bench(args) -> int:
         raise UsageError("--archs gave no architecture names")
     _require_min(args, batch=1, warmup=0, iters=1)
     config = bench_mod.BenchConfig(batch_size=args.batch, warmup_iters=args.warmup,
-                                   measure_iters=args.iters, pin_core=args.pin,
-                                   seed=args.seed)
+                                   measure_iters=args.iters, seed=args.seed)
     try:
         models = [zoo.build(name, seed=args.seed) for name in names]
     except ValueError as exc:
@@ -338,7 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--pin", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
     return parser

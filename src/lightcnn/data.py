@@ -95,6 +95,8 @@ def load_container(path) -> Dataset:
         raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if h < 1 or w < 1:
         raise ValueError(f"{path}: empty image plane {h}x{w}; need h, w >= 1")
+    if num_classes == 0:
+        raise ValueError(f"{path}: header has 0 classes; need at least 1")
     record = 1 + h * w
     expected = _HEADER.size + count * record
     if len(raw) != expected:

@@ -20,19 +20,17 @@ one allocation, an interior copy and, for the mirror, four border slice
 copies.  numpy.pad spends about 30 us of Python work per call however small
 the array, a large share of a batch-1 forward.
 
-The 3x3 convolution is cache-blocked where it can be.  Its evaluation
-forward, and the input gradient of its backward pass, unfold (or fold) and
-multiply one chunk of images at a time, sized so that a chunk's columns stay
-in L2 (``_CHUNK_BYTES``) for the GEMM that reads them; the whole-batch column
-matrix would go out to DRAM and back.  The training forward keeps the whole
-batch in one chunk, because the weight gradient is one GEMM over every
-column: summed over chunks it would round differently.  A chunk changes only
-each GEMM's column count.  With OpenBLAS in float32 that count was measured not
-to change a column's rounding once the GEMM has over about 1e6 multiply-adds,
-so at the zoo shapes a full chunk gives the whole batch's bits.  Smaller GEMMs
+The 3x3 convolution unfolds (or folds) and multiplies one chunk of images at
+a time, sized so that a chunk's columns stay in L2 (``_CHUNK_BYTES``) for the
+GEMM that reads them; the whole-batch column matrix would go out to DRAM and
+back.  The one exception is the training forward, which is one whole-batch
+chunk: the weight gradient is one GEMM over every column of that batch, and
+summed over chunks it would round differently.  A chunk changes only each
+GEMM's column count.  With OpenBLAS in float32 that count was measured not to
+change a column's rounding once the GEMM has over about 1e6 multiply-adds, so
+at the zoo shapes a full chunk gives the whole batch's bits.  Smaller GEMMs
 (OpenBLAS's small-matrix kernel: a short last chunk, small shapes) and float64
-GEMMs can differ in the last bits.  A batch that fits one chunk (batch 1
-always does) runs the unchunked code.
+GEMMs can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -201,12 +199,15 @@ def _fold_cols3(dcols: np.ndarray, dxp: np.ndarray) -> None:
         dxp[:, :, rows, cols] += dc[:, u, v].transpose(1, 0, 2, 3)
 
 
-def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out_nhw):
-    """Channel GEMM over a (K, N*H*W) input matrix (1x1 input or im2col); returns NCHW."""
-    out = w @ xm
-    out += b[:, None]
-    n, h, w_ = out_nhw
-    return np.ascontiguousarray(out.reshape(w.shape[0], n, h, w_).transpose(1, 0, 2, 3))
+def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Channel GEMM over a (K, N*H*W) input matrix (1x1 input or im2col),
+    written with its bias into the (N, C, H, W) array out."""
+    y = w @ xm
+    # adding the bias in place, then copying, timed faster than one
+    # broadcast add into the transposed view of out
+    y += b[:, None]
+    out_cnhw = out.transpose(1, 0, 2, 3)
+    out_cnhw[...] = y.reshape(out_cnhw.shape)
 
 
 def _pointwise_backward(grad_out: np.ndarray, xm: np.ndarray):
@@ -235,16 +236,12 @@ class Conv3x3(Layer):
         self._check_channels(x, "input channels")
         n, c, h, w = x.shape
         wm = self.w.reshape(self.spec.out_channels, -1)
+        out = np.empty((n, self.spec.out_channels, h, w), np.result_type(x, wm))
         # training keeps the whole batch's columns for the weight gradient
         k = n if train else _chunk_images(c, h, w, x.itemsize)
-        if k < n:
-            out = np.empty((n, self.spec.out_channels, h, w), np.result_type(x, wm))
-            for i in range(0, n, k):
-                cols = _im2col3(x[i : i + k])
-                out[i : i + k] = _pointwise_forward(cols, wm, self.b, (min(k, n - i), h, w))
-            return out
-        cols = _im2col3(x)
-        out = _pointwise_forward(cols, wm, self.b, (n, h, w))
+        for i in range(0, n, k):
+            cols = _im2col3(x[i : i + k])
+            _pointwise_forward(cols, wm, self.b, out[i : i + k])
         if train:
             self._cache = (cols, x.shape)
         return out
@@ -302,7 +299,8 @@ class DepthwiseSeparable(Layer):
         # the GEMM reads a contiguous (C, N*H*W) copy: given the transposed
         # view instead, BLAS rounds differently at small batches
         mid_m = np.ascontiguousarray(mid.reshape(-1, c).T)
-        out = _pointwise_forward(mid_m, self.pw_w, self.pw_b, (n, h, w))
+        out = np.empty((n, self.spec.out_channels, h, w), np.result_type(mid_m, self.pw_w))
+        _pointwise_forward(mid_m, self.pw_w, self.pw_b, out)
         if train:
             self._cache = (xp, mid_m)
         return out
@@ -537,10 +535,13 @@ def make_layer(spec: LayerSpec, rng: Rng | None) -> Layer:
 
 
 class Network:
-    """An ordered layer stack with named parameters and hand-written backprop."""
+    """An ordered layer stack with named parameters and hand-written backprop;
+    the last layer is the softmax, which the training loss fuses."""
 
     def __init__(self, name: str, layers: list[Layer], input_dims: tuple[int, int, int],
                  num_classes: int):
+        if not layers or layers[-1].spec.kind != SOFTMAX:
+            raise ValueError(f"{name}: the layer stack must end in {SOFTMAX}")
         self.name = name
         self.layers = layers
         self.input_dims = tuple(input_dims)
@@ -553,28 +554,20 @@ class Network:
                 f" got {x.shape}")
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._check_input(x)
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
+        return self.layers[-1].forward(self.forward_logits(x, train), train=train)
 
     def forward_logits(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Forward pass that stops before the trailing softmax (fused loss)."""
         self._check_input(x)
-        for layer in self._logit_layers():
+        for layer in self.layers[:-1]:
             x = layer.forward(x, train=train)
         return x
 
     def backward_from_logits(self, dlogits: np.ndarray) -> np.ndarray:
         grad = dlogits
-        for layer in reversed(self._logit_layers()):
+        for layer in reversed(self.layers[:-1]):
             grad = layer.backward(grad)
         return grad
-
-    def _logit_layers(self) -> list[Layer]:
-        if self.layers and self.layers[-1].spec.kind == SOFTMAX:
-            return self.layers[:-1]
-        return self.layers
 
     def _named(self, method: str) -> dict[str, np.ndarray]:
         """Each layer's params() or grads() under "<index>.<kind>.<name>"

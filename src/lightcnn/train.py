@@ -317,11 +317,8 @@ def evaluate(network: Network, ds: Dataset):
             raise NonFiniteLoss(f"model outputs are not finite on images "
                                 f"{start}..{start + b - 1} (loss is {loss})")
         loss_sum += loss * b
-        pred = probs.argmax(axis=1)
-        for c in range(num_classes):
-            mask = labels == c
-            totals[c] += int(mask.sum())
-            correct[c] += int((pred[mask] == c).sum())
+        totals += np.bincount(labels, minlength=num_classes)
+        correct += np.bincount(labels[probs.argmax(axis=1) == labels], minlength=num_classes)
     per_class = np.divide(correct, totals, out=np.zeros(num_classes),
                           where=totals > 0)
     return float(correct.sum() / totals.sum()), per_class, loss_sum / totals.sum()

@@ -211,5 +211,9 @@ def load_model(path, input_dims=(1, 28, 28), num_classes=10) -> Network:
         values[key] = np.frombuffer(reader.take(4 * size), dtype="<f4").reshape(shape)
     if reader.pos != len(reader.raw):
         raise ValueError(f"{path}: {len(reader.raw) - reader.pos} trailing bytes")
+    # the dense head's bias has one entry per class
+    for key, arr in values.items():
+        if key.endswith(".dense.b") and arr.size != num_classes:
+            raise ValueError(f"{path}: model has {arr.size} classes, expected {num_classes}")
     network.set_params(values)
     return network

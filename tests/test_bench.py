@@ -1,6 +1,5 @@
 import csv
 import io
-import os
 
 import numpy as np
 import pytest
@@ -68,15 +67,6 @@ class TestMeasure:
         b, _ = measure_all([net], cfg)[0]
         assert abs(a.median_ms - b.median_ms) <= 0.25 * max(a.median_ms,
                                                             b.median_ms)
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="no sched_setaffinity on this platform")
-    def test_pinned_run_restores_affinity(self):
-        before = os.sched_getaffinity(0)
-        cfg = BenchConfig(batch_size=2, warmup_iters=1, measure_iters=3, pin_core=True)
-        batch, indiv = measure_all([tiny_net()], cfg)[0]
-        assert batch.median_ms > 0.0 and indiv.median_ms > 0.0
-        assert os.sched_getaffinity(0) == before
 
 
 class TestCompare:

@@ -87,6 +87,13 @@ class TestContainer:
             load_container(p)
         assert str(exc.value) == f"{p}: empty image plane {h}x{w}; need h, w >= 1"
 
+    def test_zero_classes(self, tmp_path):
+        p = tmp_path / "set.cds"
+        p.write_bytes(data._HEADER.pack(data.MAGIC, 0, 5, 5, 0))
+        with pytest.raises(ValueError) as exc:
+            load_container(p)
+        assert str(exc.value) == f"{p}: header has 0 classes; need at least 1"
+
     def test_label_out_of_range(self, tmp_path, rng):
         ds = _u8_dataset(rng, n=2, num_classes=4)
         p = tmp_path / "set.cds"

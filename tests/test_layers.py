@@ -446,6 +446,12 @@ class TestNetwork:
         net = self._tiny_net()
         assert net.param_count() == sum(v.size for v in net.params().values())
 
+    def test_stack_must_end_in_softmax(self):
+        layers_ = self._tiny_net().layers
+        for stack in (layers_[:-1], layers_[-1:] + layers_[:-1], []):
+            with pytest.raises(ValueError, match="^tiny: the layer stack must end in softmax$"):
+                Network("tiny", stack, input_dims=(1, 8, 8), num_classes=3)
+
     def test_wrong_input_dims_rejected(self):
         net = self._tiny_net()
         with pytest.raises(ValueError):

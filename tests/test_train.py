@@ -293,14 +293,16 @@ class TestEvaluate:
 
     def test_matches_hand_rolled_loop(self):
         ds = synth(4, 15, dims=16, seed=8)
-        net = probe_net(4, 16, seed=3)
+        net = probe_net(4, 16, seed=11)  # mixed per-class hits: 0, 0, 7/15, 12/15
         acc, per_class, _ = evaluate(net, ds)
-        correct = 0
+        hits, totals = np.zeros(4), np.zeros(4)
         for i in range(len(ds)):
             probs = net.forward(ds.images[i : i + 1].astype(np.float32))
+            totals[ds.labels[i]] += 1
             if int(np.argmax(probs[0, :, 0, 0])) == ds.labels[i]:
-                correct += 1
-        assert acc == pytest.approx(correct / len(ds))
+                hits[ds.labels[i]] += 1
+        assert acc == pytest.approx(hits.sum() / len(ds))
+        np.testing.assert_array_equal(per_class, hits / totals)
 
     def test_empty_rejected(self):
         from lightcnn.data import Dataset, default_names

@@ -244,6 +244,12 @@ class TestModelFile:
         with pytest.raises(ValueError, match="trailing"):
             load_model(path)
 
+    def test_class_count_mismatch_names_both_counts(self, tmp_path):
+        _, _, path = self._roundtrip(tmp_path)
+        with pytest.raises(ValueError) as exc:
+            load_model(path, num_classes=3)
+        assert str(exc.value) == f"{path}: model has 10 classes, expected 3"
+
     def test_non_finite_weights_refused(self, tmp_path):
         for bad in (np.nan, np.inf):
             net = build("custom140_dw", seed=9)
