@@ -20,17 +20,15 @@ one allocation, an interior copy and, for the mirror, four border slice
 copies.  numpy.pad spends about 30 us of Python work per call however small
 the array, a large share of a batch-1 forward.
 
-The 3x3 convolution unfolds (or folds) and multiplies one chunk of images at
-a time, sized so that a chunk's columns stay in L2 (``_CHUNK_BYTES``) for the
-GEMM that reads them; the whole-batch column matrix would go out to DRAM and
-back.  The one exception is the training forward, which is one whole-batch
-chunk: the weight gradient is one GEMM over every column of that batch, and
-summed over chunks it would round differently.  A chunk changes only each
-GEMM's column count.  With OpenBLAS in float32 that count was measured not to
-change a column's rounding once the GEMM has over about 1e6 multiply-adds, so
-at the zoo shapes a full chunk gives the whole batch's bits.  Smaller GEMMs
-(OpenBLAS's small-matrix kernel: a short last chunk, small shapes) and float64
-GEMMs can differ in the last bits.
+The 3x3 convolution unfolds (or folds) and multiplies a chunk of images at a
+time, so that the GEMM reads a chunk's columns from L2 (``_CHUNK_BYTES``).
+Every forward runs ceil(n / kmax) balanced chunks of ceil(n / chunks) images,
+so no chunk is a short last one.  Training caches only the input: the backward
+unfolds the whole batch once more for its one weight-gradient GEMM, which
+summed over chunks would round differently.  With OpenBLAS in float32, a GEMM
+of over about 1e6 multiply-adds was measured to round each column alike at any
+column count, so at the zoo shapes the chunks give one chunk's bits.  Smaller
+GEMMs and float64 GEMMs can differ in the last bits; no float64 result is pinned.
 """
 
 from __future__ import annotations
@@ -221,7 +219,8 @@ def _pointwise_backward(grad_out: np.ndarray, xm: np.ndarray):
 
 
 class Conv3x3(Layer):
-    """3x3 cross-correlation, pad 1, stride 1, with bias: h x w in, h x w out."""
+    """3x3 cross-correlation, pad 1, stride 1, with bias: h x w in, h x w out.
+    Training caches the input x, not its 9x larger columns (module docstring)."""
 
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
@@ -237,18 +236,19 @@ class Conv3x3(Layer):
         n, c, h, w = x.shape
         wm = self.w.reshape(self.spec.out_channels, -1)
         out = np.empty((n, self.spec.out_channels, h, w), np.result_type(x, wm))
-        # training keeps the whole batch's columns for the weight gradient
-        k = n if train else _chunk_images(c, h, w, x.itemsize)
+        # ceil(n / kmax) chunks of ceil(n / chunks) images each: none is short
+        chunks = -(-n // _chunk_images(c, h, w, x.itemsize))
+        k = -(-n // chunks) if n else 1
         for i in range(0, n, k):
-            cols = _im2col3(x[i : i + k])
-            _pointwise_forward(cols, wm, self.b, out[i : i + k])
+            _pointwise_forward(_im2col3(x[i : i + k]), wm, self.b, out[i : i + k])
         if train:
-            self._cache = (cols, x.shape)
+            self._cache = x
         return out
 
     def backward(self, grad_out):
-        cols, (n, c, h, w) = self._require_cache()
-        gmat, dw, db = _pointwise_backward(grad_out, cols)
+        x = self._require_cache()
+        n, c, h, w = x.shape
+        gmat, dw, db = _pointwise_backward(grad_out, _im2col3(x))
         self._grads = {"w": dw.reshape(self.w.shape), "b": db}
         wt = self.w.reshape(self.spec.out_channels, -1).T
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(wt, gmat))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,14 @@ class TestConv3x3:
 
     @pytest.mark.skipif("openblas" not in bench._blas_name().lower(),
                         reason="GEMM rounding by column count was measured with OpenBLAS")
-    def test_full_chunks_match_whole_batch_at_zoo_shapes(self):
-        # each conv3 input shape of the zoo at 28x28, and of custom590_3x3 at
-        # 56x56 (the c3_590_bpse benchmark model), in float32: an evaluation
-        # forward over two full chunks gives the training forward's bytes.  A
-        # short last chunk need not (the module docstring says why).
+    def test_full_chunks_match_whole_batch_at_zoo_shapes(self, monkeypatch):
+        # in float32, a forward in balanced chunks gives the bytes of one
+        # whole-batch chunk at every zoo conv3 shape, for batches of 2k, k + 1
+        # and 3k + 1 (k images fill _CHUNK_BYTES).  Chunks of k with a short
+        # last one did not: 16->32 at 14x14 for n = 19 and 55, and 32->64 at
+        # 7x7 for n = 38 and 112 (the module docstring says why).  The shapes
+        # are each conv3 input of the zoo at 28x28, and of custom590_3x3 at
+        # 56x56 (the c3_590_bpse benchmark model).
         shapes = set()
         runs = [(name, (1, 28, 28)) for name in zoo.ARCH_NAMES]
         for name, dims in runs + [("custom590_3x3", (1, 56, 56))]:
@@ -60,13 +65,47 @@ class TestConv3x3:
                 if spec.kind == CONV3:
                     shapes.add((spec.in_channels, spec.out_channels) + x.shape[2:])
                 x = make_layer(spec, None).forward(x, train=False)
+        assert len(shapes) == 18
+        budget = layers._CHUNK_BYTES
         for cin, cout, h, w in sorted(shapes):
-            n = 2 * layers._chunk_images(cin, h, w, 4)
+            k = layers._chunk_images(cin, h, w, 4)
             lay = _layer(CONV3, cin, cout, seed=cout)
-            x = Rng(cin).normal_array(n * cin * h * w).reshape(n, cin, h, w)
-            x = x.astype(np.float32)
-            chunked = lay.forward(x, train=False)
-            assert chunked.tobytes() == lay.forward(x, train=True).tobytes(), (cin, cout, h, w)
+            for n in (2 * k, k + 1, 3 * k + 1):
+                x = Rng(cin + n).normal_array(n * cin * h * w).reshape(n, cin, h, w)
+                x = x.astype(np.float32)
+                monkeypatch.setattr(layers, "_CHUNK_BYTES", n * 9 * cin * h * w * 4)
+                whole = lay.forward(x, train=False)
+                monkeypatch.setattr(layers, "_CHUNK_BYTES", budget)
+                chunked = lay.forward(x, train=False)
+                assert chunked.tobytes() == whole.tobytes(), (cin, cout, h, w, n)
+
+    def test_weight_gradient_is_one_whole_batch_gemm(self):
+        # a forward in four chunks, then the w gradient of one GEMM over the
+        # whole batch's columns: summed per-chunk GEMMs would round differently
+        cin, cout, h, w = 16, 32, 14, 14
+        n = 3 * layers._chunk_images(cin, h, w, 4) + 1
+        lay = _layer(CONV3, cin, cout, seed=5)
+        x = Rng(6).normal_array(n * cin * h * w).reshape(n, cin, h, w).astype(np.float32)
+        g = Rng(7).normal_array(n * cout * h * w).reshape(n, cout, h, w).astype(np.float32)
+        lay.forward(x, train=True)
+        lay.backward(g)
+        gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+        want = (layers._im2col3(x) @ gmat.T).T
+        assert lay.grads()["w"].tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_training_forward_retains_only_its_output(self):
+        # the cache references the input, which the caller holds anyway; the
+        # 9x larger im2col columns are unfolded again in backward
+        x = Rng(8).normal_array(8 * 16 * 28 * 28).reshape(8, 16, 28, 28).astype(np.float32)
+        lay = _layer(CONV3, 16, 16, seed=9)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = lay.forward(x, train=True)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes <= retained < out.nbytes + 4096
 
     def test_identity_kernel(self, f64):
         # a kernel with 1 at the centre and zero bias copies the input
