@@ -12,8 +12,8 @@ cross-correlations at stride 1 with "same" padding (pad=1), so they keep h x w;
 a direct-loop oracle lives in the test suite.  Two kernels are shared: the
 channel GEMM (``_pointwise_*``), which the 1x1 stage and the 3x3 convolution
 (on its im2col matrix) run, and the 3x3 tap walk (``_taps``), which the
-depth-wise stage, the im2col adjoint and the reflect-padded blur (``_blur3``:
-blur pooling at stride 2, the augmentation blur at stride 1) step through.
+depth-wise stage and the reflect-padded blur (``_blur3``: blur pooling at
+stride 2, the augmentation blur at stride 1) step through.
 Backward passes are hand-written per layer and validated against central
 finite differences.  The im2col unfold and ``_blur3`` pad through ``_pad1``:
 one allocation, an interior copy and, for the mirror, four border slice
@@ -23,12 +23,18 @@ the array, a large share of a batch-1 forward.
 The 3x3 convolution unfolds (or folds) and multiplies a chunk of images at a
 time, so that the GEMM reads a chunk's columns from L2 (``_CHUNK_BYTES``).
 Every forward runs ceil(n / kmax) balanced chunks of ceil(n / chunks) images,
-so no chunk is a short last one.  Training caches only the input: the backward
-unfolds the whole batch once more for its one weight-gradient GEMM, which
-summed over chunks would round differently.  With OpenBLAS in float32, a GEMM
-of over about 1e6 multiply-adds was measured to round each column alike at any
-column count, so at the zoo shapes the chunks give one chunk's bits.  Smaller
-GEMMs and float64 GEMMs can differ in the last bits; no float64 result is pinned.
+so no chunk is a short last one.  Training caches only the input.  The
+backward's weight gradient is one GEMM over the whole batch, since summed over
+chunks it would round differently; once the whole columns exceed _CHUNK_BYTES,
+the backward unfolds them one kernel row (three taps) at a time, a third of the
+columns, with one whole-batch GEMM per row.  The input gradient runs its GEMM in
+chunks over the output gradient laid out on a flat zero-bordered grid, where
+each tap folds back in one contiguous shifted add.  With OpenBLAS in float32, a
+GEMM of over about 1e6 multiply-adds was measured to round each output alike at
+any row or column count, so at the zoo shapes the chunks give one chunk's bits
+and the row GEMMs the whole GEMM's.  Smaller GEMMs take a small-matrix path that
+can round differently (hence whole columns up to _CHUNK_BYTES stay one GEMM),
+and so can float64 GEMMs; no float64 result is pinned.
 """
 
 from __future__ import annotations
@@ -147,14 +153,21 @@ def _pad1(x: np.ndarray, reflect: bool = False) -> np.ndarray:
     return xp
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """Unfold 3x3/pad-1 windows into a (c*9, n*h*w) matrix."""
-    n, c, h, w = x.shape
+def _windows3(x: np.ndarray) -> np.ndarray:
+    """The 3x3/pad-1 windows of x: an (n, c, h, w, 3, 3) read-only view of
+    _pad1(x), whose two window axes step like the two spatial axes."""
     xp = _pad1(x)
-    # the two window axes step like the two spatial axes
-    win = np.lib.stride_tricks.as_strided(
-        xp, (n, c, h, w, 3, 3), xp.strides + xp.strides[2:], writeable=False)
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * h * w)
+    return np.lib.stride_tricks.as_strided(
+        xp, x.shape + (3, 3), xp.strides + xp.strides[2:], writeable=False)
+
+
+def _im2col3(x: np.ndarray, rows: slice = slice(0, 3)) -> np.ndarray:
+    """Unfold these kernel rows of the 3x3/pad-1 windows into a (c*r*3, n*h*w)
+    matrix, r rows of 3 taps each (by default all 9 taps).  x is an NCHW
+    array or, to pad it once for several calls, its _windows3 view."""
+    win = (x if x.ndim == 6 else _windows3(x))[:, :, :, :, rows]
+    n, c, h, w, r = win.shape[:5]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * r * 3, n * h * w)
 
 
 # Bytes of im2col columns (or of their gradient) per chunk of images: about
@@ -189,14 +202,6 @@ def _blur3(x: np.ndarray, k: np.ndarray, stride: int) -> np.ndarray:
     return out
 
 
-def _fold_cols3(dcols: np.ndarray, dxp: np.ndarray) -> None:
-    """Adjoint of _im2col3: add column gradients onto the pad-1 input gradient dxp."""
-    n, c, hp, wp = dxp.shape
-    dc = dcols.reshape(c, 3, 3, n, hp - 2, wp - 2)
-    for u, v, rows, cols in _taps(1, hp - 2, wp - 2):
-        dxp[:, :, rows, cols] += dc[:, u, v].transpose(1, 0, 2, 3)
-
-
 def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     """Channel GEMM over a (K, N*H*W) input matrix (1x1 input or im2col),
     written with its bias into the (N, C, H, W) array out."""
@@ -208,19 +213,26 @@ def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.nda
     out_cnhw[...] = y.reshape(out_cnhw.shape)
 
 
-def _pointwise_backward(grad_out: np.ndarray, xm: np.ndarray):
-    """Gradients of _pointwise_forward: the output gradient as a (C, N*H*W)
-    matrix G, then the weight and bias gradients.  The input gradient is
-    w.T @ G, which Conv3x3 forms a column chunk at a time."""
+def _pointwise_backward(grad_out: np.ndarray):
+    """The output gradient of _pointwise_forward as a (C, N*H*W) matrix G, and
+    the bias gradient.  The input gradient is w.T @ G, which Conv3x3 forms a
+    column chunk at a time."""
     gmat = grad_out.transpose(1, 0, 2, 3).reshape(grad_out.shape[1], -1)
-    # the weight gradient G @ xm.T, formed as (xm @ G.T).T: OpenBLAS runs
-    # that orientation faster, and its results were measured bit-identical
-    return gmat, np.ascontiguousarray((xm @ gmat.T).T), gmat.sum(axis=1)
+    return gmat, gmat.sum(axis=1)
+
+
+def _weight_grad(gmat: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    """The channel GEMM's weight gradient G @ xm.T, formed as (xm @ G.T).T:
+    OpenBLAS runs that orientation faster, and its results were measured
+    bit-identical."""
+    return np.ascontiguousarray((xm @ gmat.T).T)
 
 
 class Conv3x3(Layer):
     """3x3 cross-correlation, pad 1, stride 1, with bias: h x w in, h x w out.
-    Training caches the input x, not its 9x larger columns (module docstring)."""
+    Training caches the input x, not its 9x larger columns; backward unfolds
+    them again, one kernel row at a time once they outgrow L2 (module
+    docstring)."""
 
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
@@ -248,15 +260,37 @@ class Conv3x3(Layer):
     def backward(self, grad_out):
         x = self._require_cache()
         n, c, h, w = x.shape
-        gmat, dw, db = _pointwise_backward(grad_out, _im2col3(x))
-        self._grads = {"w": dw.reshape(self.w.shape), "b": db}
-        wt = self.w.reshape(self.spec.out_channels, -1).T
-        dxp = np.zeros((n, c, h + 2, w + 2), dtype=np.result_type(wt, gmat))
-        k = _chunk_images(c, h, w, dxp.itemsize)
-        for i in range(0, n, k):
-            dcols = wt @ gmat[:, i * h * w : (i + k) * h * w]
-            _fold_cols3(dcols, dxp[i : i + k])
-        return dxp[:, :, 1 : h + 1, 1 : w + 1]
+        cout = self.spec.out_channels
+        gmat, db = _pointwise_backward(grad_out)
+        # one GEMM over the whole batch per kernel row (all three rows at
+        # once while the columns fit in _CHUNK_BYTES; module docstring)
+        r = 3 if 9 * x.nbytes <= _CHUNK_BYTES else 1
+        dw = np.empty((cout, c, 3, 3), np.result_type(x, gmat))
+        win = _windows3(x)
+        for u in range(0, 3, r):
+            dwu = _weight_grad(gmat, _im2col3(win, slice(u, u + r)))
+            dw[:, :, u : u + r] = dwu.reshape(cout, c, r, 3)
+        self._grads = {"w": dw, "b": db}
+        del win  # the padded input, freed before the input gradient's buffers
+        # the input gradient wt @ G, with G laid out flat per channel: a zero
+        # row, then per image h rows of w values and a zero, and a zero row.
+        # Zeros then border every side of each image, and tap (u, v) of grid
+        # column j belongs to input column j + (u-1)(w+1) + v-1: each tap
+        # folds in one contiguous shifted add, and border columns add zeros.
+        wg = w + 1
+        gp = np.zeros((cout, wg + n * (h + 1) * wg), dtype=gmat.dtype)
+        gp[:, wg:].reshape(cout, n, h + 1, wg)[:, :, :h, :w] = grad_out.transpose(1, 0, 2, 3)
+        wt = self.w.reshape(cout, -1).T
+        m = wg + 1  # the farthest tap offset, as a margin on both ends
+        dx = np.zeros((c, gp.shape[1] + 2 * m), dtype=np.result_type(wt, gp))
+        k = _chunk_images(c, h + 1, wg, dx.itemsize) * (h + 1) * wg
+        for i in range(0, gp.shape[1], k):
+            dcols = (wt @ gp[:, i : i + k]).reshape(c, 9, -1)
+            for t in range(9):
+                j = m + i + (t // 3 - 1) * wg + t % 3 - 1
+                dx[:, j : j + dcols.shape[2]] += dcols[:, t]
+        dx = dx[:, m + wg : -m].reshape(c, n, h + 1, wg)[:, :, :h, :w]
+        return np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
 
 
 class DepthwiseSeparable(Layer):
@@ -310,7 +344,8 @@ class DepthwiseSeparable(Layer):
         n, hp, wp, c = xp.shape
         h, w = hp - 2, wp - 2
 
-        gmat, dpw_w, dpw_b = _pointwise_backward(grad_out, mid_m)
+        gmat, dpw_b = _pointwise_backward(grad_out)
+        dpw_w = _weight_grad(gmat, mid_m)
         dmid = np.ascontiguousarray((self.pw_w.T @ gmat).T).reshape(n, h, w, c)
         k = self._row_taps(w)
         ddw_w = np.empty((3, 3, c), dtype=self.dw_w.dtype)
@@ -359,7 +394,7 @@ class MaxPool2(Layer):
         if train:
             # the first cell equal to the max sits after every cell that is not
             missed = cells[0] != out
-            idx = missed.astype(np.intp)
+            idx = missed.astype(np.uint8)  # 0..3: one byte per output
             for cell in cells[1:3]:
                 missed &= cell != out
                 idx += missed

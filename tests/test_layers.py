@@ -18,6 +18,29 @@ def _layer(kind, cin=3, cout=4, seed=0):
     return make_layer(LayerSpec(kind, in_channels=cin, out_channels=cout), Rng(seed))
 
 
+def _zoo_conv3_shapes():
+    """(cin, cout, h, w) of each conv3 input of the zoo at 28x28, and of
+    custom590_3x3 at 56x56 (the c3_590_bpse benchmark model), sorted."""
+    shapes = set()
+    runs = [(name, (1, 28, 28)) for name in zoo.ARCH_NAMES]
+    for name, dims in runs + [("custom590_3x3", (1, 56, 56))]:
+        x = np.zeros((1,) + dims, np.float32)
+        for spec in zoo.arch_spec(name, input_dims=dims):
+            if spec.kind == CONV3:
+                shapes.add((spec.in_channels, spec.out_channels) + x.shape[2:])
+            x = make_layer(spec, None).forward(x, train=False)
+    return sorted(shapes)
+
+
+def _normal(shape, seed):
+    return Rng(seed).normal_array(int(np.prod(shape))).reshape(shape).astype(np.float32)
+
+
+_OPENBLAS_ONLY = pytest.mark.skipif(
+    "openblas" not in bench._blas_name().lower(),
+    reason="GEMM rounding by row and column count was measured with OpenBLAS")
+
+
 class TestConv3x3:
     def test_matches_direct_loops(self, f64):
         rng = Rng(11)
@@ -47,27 +70,17 @@ class TestConv3x3:
         for train in (False, True):
             assert oracles.max_rel_err(lay.forward(x, train=train), want) < 1e-10
 
-    @pytest.mark.skipif("openblas" not in bench._blas_name().lower(),
-                        reason="GEMM rounding by column count was measured with OpenBLAS")
+    @_OPENBLAS_ONLY
     def test_full_chunks_match_whole_batch_at_zoo_shapes(self, monkeypatch):
         # in float32, a forward in balanced chunks gives the bytes of one
         # whole-batch chunk at every zoo conv3 shape, for batches of 2k, k + 1
         # and 3k + 1 (k images fill _CHUNK_BYTES).  Chunks of k with a short
         # last one did not: 16->32 at 14x14 for n = 19 and 55, and 32->64 at
-        # 7x7 for n = 38 and 112 (the module docstring says why).  The shapes
-        # are each conv3 input of the zoo at 28x28, and of custom590_3x3 at
-        # 56x56 (the c3_590_bpse benchmark model).
-        shapes = set()
-        runs = [(name, (1, 28, 28)) for name in zoo.ARCH_NAMES]
-        for name, dims in runs + [("custom590_3x3", (1, 56, 56))]:
-            x = np.zeros((1,) + dims, np.float32)
-            for spec in zoo.arch_spec(name, input_dims=dims):
-                if spec.kind == CONV3:
-                    shapes.add((spec.in_channels, spec.out_channels) + x.shape[2:])
-                x = make_layer(spec, None).forward(x, train=False)
+        # 7x7 for n = 38 and 112 (the module docstring says why).
+        shapes = _zoo_conv3_shapes()
         assert len(shapes) == 18
         budget = layers._CHUNK_BYTES
-        for cin, cout, h, w in sorted(shapes):
+        for cin, cout, h, w in shapes:
             k = layers._chunk_images(cin, h, w, 4)
             lay = _layer(CONV3, cin, cout, seed=cout)
             for n in (2 * k, k + 1, 3 * k + 1):
@@ -92,6 +105,48 @@ class TestConv3x3:
         gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
         want = (layers._im2col3(x) @ gmat.T).T
         assert lay.grads()["w"].tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.slow
+    @_OPENBLAS_ONLY
+    def test_row_weight_gradient_matches_whole_gemm_at_zoo_shapes(self):
+        # columns over _CHUNK_BYTES are unfolded one kernel row at a time, and
+        # each row's GEMM must give the bits of its rows of one GEMM over all
+        # nine taps.  Smaller columns stay one GEMM: a row GEMM under about
+        # 1e6 multiply-adds rounds differently (1->16 at 28x28, n = 16, is one
+        # such case).  Criterion 6 ends each epoch on n = 16, dw140_aug on 30.
+        shapes = _zoo_conv3_shapes()
+        assert len(shapes) == 18
+        row_wise = 0
+        for cin, cout, h, w in shapes:
+            k = layers._chunk_images(cin, h, w, 4)
+            lay = _layer(CONV3, cin, cout, seed=cout)
+            for n in sorted({1, 16, 30, 32, 64, k + 1, 3 * k + 1}):
+                x = _normal((n, cin, h, w), cin + n)
+                g = _normal((n, cout, h, w), cout + n)
+                lay.forward(x, train=True)
+                lay.backward(g)
+                gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+                want = np.ascontiguousarray((layers._im2col3(x) @ gmat.T).T)
+                assert lay.grads()["w"].tobytes() == want.tobytes(), (cin, cout, h, w, n)
+                row_wise += 9 * x.nbytes > layers._CHUNK_BYTES
+        assert row_wise > 0
+
+    def test_backward_peak_stays_below_whole_batch_columns(self):
+        # 16->16 at 28x28, batch 64: the whole batch's columns take 28.9 MB.
+        # One unfold of them made a 32.6 MB peak; a kernel row at a time and
+        # the flat-grid fold peak at about 16.6 MB.
+        x = _normal((64, 16, 28, 28), 10)
+        g = _normal((64, 16, 28, 28), 11)
+        lay = _layer(CONV3, 16, 16, seed=12)
+        lay.forward(x, train=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lay.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * x.nbytes
 
     def test_training_forward_retains_only_its_output(self):
         # the cache references the input, which the caller holds anyway; the
@@ -207,6 +262,19 @@ class TestMaxPool2:
         lay.forward(x)
         dx = lay.backward(np.array([[[[5.0, 7.0]]]], np.float32))
         np.testing.assert_array_equal(dx[0, 0], [[5, 0, 0, 0], [0, 0, 7, 0]])
+
+    def test_training_forward_retains_one_byte_per_output(self):
+        # the cached window index is 0..3, one uint8 per pooled output
+        x = _normal((8, 32, 28, 28), 13)
+        lay = _layer(MAXPOOL2, 32, 32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = lay.forward(x, train=True)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes + out.size <= retained < out.nbytes + out.size + 4096
 
     def test_max_never_below_input_mean(self, rng):
         lay = _layer(MAXPOOL2, 1, 1)
