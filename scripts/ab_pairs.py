@@ -1,16 +1,18 @@
-"""Run the perfbench workloads on two source checkouts in alternating pairs and
+"""Run the perfbench workloads on two git revisions in alternating pairs and
 write one BENCH_<name>.json trajectory file.
 
-    python3 scripts/ab_pairs.py --base ../parent --head . --name BENCH_19 \\
+    python3 scripts/ab_pairs.py --base HEAD~1 --head HEAD --name BENCH_19 \\
         --change "what the head changes" --claim c3_590_bpse:peak_rss_mb \\
-        --pairs 10 --seconds 55 --seed 1 --out BENCH_19.json
+        --digest-seeds 2 --out BENCH_19.json
 
---base and --head are source checkouts (a `git archive` of each revision
-will do); each run is `python3 perfbench/run.py` from inside its own
-checkout, one run at a time.  Pair i runs the base first when i is even and
-the head first when it is odd.  After the pairs, one --trace 1 run per side
-and workload records the per-layer metrics, and --digest-seeds runs each
-side once more per extra seed, for its weight digest only.
+Each side is a `git archive` of its revision, unpacked into a temporary
+directory, so what runs is exactly what is committed.  Each run is
+`python3 perfbench/run.py` from inside its own checkout, one run at a time,
+for the run_seconds of the head's BENCHMARK.json.  Every workload there runs
+PAIRS pairs at seed SEED; pair i runs the base first when i is even and the
+head first when it is odd.  After the pairs, one --trace 1 run per side and
+workload records the per-layer metrics, and --digest-seeds runs each side
+once more per extra seed, for its weight digest only.
 
 Per workload and end-to-end metric the file gives both sides' quartiles, the
 median ratio head/base, the base's quartile distance over its median, and the
@@ -19,27 +21,48 @@ pairs the head won (strictly better in the metric's direction).
 
 import argparse
 import json
+import os
 import platform
 import re
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
 DIGEST = re.compile(r"weights sha256 ([0-9a-f]{64})")
+PAIRS = 10
+SEED = 1
+REPO = Path(__file__).resolve().parents[1]
 
 
-def run_once(checkout, workload, seed, seconds, trace):
+def git(*args):
+    return subprocess.run(["git", *args], cwd=REPO, check=True, capture_output=True).stdout
+
+
+def checkout(rev, root):
+    """Unpack `git archive rev` into root/<sha>; return the sha and the path."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
+    path = Path(root) / sha
+    with tempfile.TemporaryFile() as tar:
+        tar.write(git("archive", sha))
+        tar.seek(0)
+        tarfile.open(fileobj=tar).extractall(path, filter="data")
+    return sha, path
+
+
+def run_once(path, workload, seed, seconds, trace):
     """One perfbench run: its result line, weight digest and wall time."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=path, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+        sys.exit(f"error: {' '.join(cmd)} in {path} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
     digest = DIGEST.search(proc.stdout)
     return {
@@ -88,63 +111,73 @@ def host_metadata():
         pass
     blas = next((lib for lib in np.show_config(mode="dicts")["Build Dependencies"].values()
                  if isinstance(lib, dict) and "openblas configuration" in lib), {})
-    return {"cpu": cpu, "python": platform.python_version(), "numpy": np.__version__,
+    return {"cpu": cpu, "logical_cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__,
             "blas": blas.get("openblas configuration", blas.get("name", "unknown"))}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--base", required=True, type=Path)
-    ap.add_argument("--head", required=True, type=Path)
+    ap.add_argument("--base", required=True, help="git revision of the parent")
+    ap.add_argument("--head", required=True, help="git revision of the change")
     ap.add_argument("--name", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--claim", default=None, help="workload:metric the head claims")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=55)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--digest-seeds", type=int, nargs="*", default=[])
-    ap.add_argument("--workloads", nargs="*", default=None)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
 
-    spec = json.loads((args.head / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    sides = {"base": args.base.resolve(), "head": args.head.resolve()}
-    doc = {
-        "bench": args.name, "change": args.change, "host": host_metadata(),
-        "protocol": (f"perfbench/run.py --seed {args.seed} --seconds {args.seconds:g} "
-                     "--trace 0 from each side's own checkout, one run at a time; pair i "
-                     "runs the base first when i is even"),
-        "workloads": {},
-    }
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        doc["claim"] = {"workload": workload, "metric": metric}
-    t_start = time.perf_counter()
-    for wl in workloads:
-        pairs = []
-        for i in range(args.pairs):
-            order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            pair = {"pair": i, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(sides[side], wl, args.seed, args.seconds, 0)
-            pairs.append(pair)
-            print(f"# {wl} pair {i}: " + ", ".join(
-                f"{s} {pair[s]['result']['metrics']['peak_rss_mb']['value']:.1f} MiB "
-                f"{pair[s]['result']['metrics']['train_img_per_s']['value']:.1f} img/s"
-                for s in ("base", "head")), flush=True)
-        runs = [p[s] for p in pairs for s in ("base", "head")]
-        doc["workloads"][wl] = {
-            "pairs": pairs,
-            "summary": summarise(pairs, spec["end_to_end"]),
-            "all_ok": all(r["checks_ok"] and r["result"]["failed"] == 0 for r in runs),
-            "weights_sha256": sorted({r["weights_sha256"] for r in runs}),
+    with tempfile.TemporaryDirectory() as root:
+        revs, sides = {}, {}
+        for side in ("base", "head"):
+            revs[side], sides[side] = checkout(getattr(args, side), root)
+        spec = json.loads((sides["head"] / "BENCHMARK.json").read_text())
+        seconds = spec["run_seconds"]
+        doc = {
+            "bench": args.name, "change": args.change, "host": host_metadata(),
+            "revisions": revs,
+            "protocol": (f"perfbench/run.py --seed {SEED} --seconds {seconds:g} --trace 0 "
+                         "from a git archive of each revision, one run at a time; "
+                         f"{PAIRS} pairs per workload; pair i runs the base first when i "
+                         "is even"),
+            "notes": [
+                "pairs_won_by_head counts strict wins; base_iqr_over_median is the base's "
+                "quartile distance over its median, to compare with the metric's bound.",
+                f"traced: one --trace 1 run per side and workload, seed {SEED}, after the "
+                "untraced pairs; digest_seeds: one run per side, workload and extra seed, "
+                "weight digest only.",
+            ],
+            "workloads": {},
         }
-    doc["traced"] = {wl: {s: run_once(sides[s], wl, args.seed, args.seconds, 1)
-                          for s in ("base", "head")} for wl in workloads}
-    doc["digest_seeds"] = {f"{wl} seed {seed}": {
-        s: run_once(sides[s], wl, seed, args.seconds, 0)["weights_sha256"]
-        for s in ("base", "head")} for wl in workloads for seed in args.digest_seeds}
+        if args.claim:
+            workload, metric = args.claim.split(":")
+            doc["claim"] = {"workload": workload, "metric": metric}
+        workloads = [w["name"] for w in spec["workloads"]]
+        t_start = time.perf_counter()
+        for wl in workloads:
+            pairs = []
+            for i in range(PAIRS):
+                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+                pair = {"pair": i, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(sides[side], wl, SEED, seconds, 0)
+                pairs.append(pair)
+                print(f"# {wl} pair {i}: " + ", ".join(
+                    f"{s} {pair[s]['result']['metrics']['peak_rss_mb']['value']:.1f} MiB "
+                    f"{pair[s]['result']['metrics']['train_img_per_s']['value']:.1f} img/s"
+                    for s in ("base", "head")), flush=True)
+            runs = [p[s] for p in pairs for s in ("base", "head")]
+            doc["workloads"][wl] = {
+                "pairs": pairs,
+                "summary": summarise(pairs, spec["end_to_end"]),
+                "all_ok": all(r["checks_ok"] and r["result"]["failed"] == 0 for r in runs),
+                "weights_sha256": sorted({r["weights_sha256"] for r in runs}),
+            }
+        doc["traced"] = {wl: {s: run_once(sides[s], wl, SEED, seconds, 1)
+                              for s in ("base", "head")} for wl in workloads}
+        doc["digest_seeds"] = {f"{wl} seed {seed}": {
+            s: run_once(sides[s], wl, seed, seconds, 0)["weights_sha256"]
+            for s in ("base", "head")} for wl in workloads for seed in args.digest_seeds}
     doc["wall_s"] = round(time.perf_counter() - t_start, 1)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"# wrote {args.out} in {doc['wall_s']:.0f} s")

@@ -25,16 +25,19 @@ time, so that the GEMM reads a chunk's columns from L2 (``_CHUNK_BYTES``).
 Every forward runs ceil(n / kmax) balanced chunks of ceil(n / chunks) images,
 so no chunk is a short last one.  Training caches only the input.  The
 backward's weight gradient is one GEMM over the whole batch, since summed over
-chunks it would round differently; once the whole columns exceed _CHUNK_BYTES,
-the backward unfolds them one kernel row (three taps) at a time, a third of the
-columns, with one whole-batch GEMM per row.  The input gradient runs its GEMM in
-chunks over the output gradient laid out on a flat zero-bordered grid, where
-each tap folds back in one contiguous shifted add.  With OpenBLAS in float32, a
-GEMM of over about 1e6 multiply-adds was measured to round each output alike at
-any row or column count, so at the zoo shapes the chunks give one chunk's bits
-and the row GEMMs the whole GEMM's.  Smaller GEMMs take a small-matrix path that
-can round differently (hence whole columns up to _CHUNK_BYTES stay one GEMM),
-and so can float64 GEMMs; no float64 result is pinned.
+chunks it would round differently.  Once the whole columns exceed both
+_CHUNK_BYTES and the output gradient G, the backward unfolds them one kernel row
+(three taps) at a time, a third of the columns, with one whole-batch GEMM per
+row.  Each row GEMM reads all of G, so where G is the larger (a 1-channel
+input) three of them cost more than one and would save less than G holds.  The
+input gradient runs its GEMM in chunks over the output gradient laid out on a
+flat zero-bordered grid, where each tap folds back in one contiguous shifted
+add.  With OpenBLAS in float32, a GEMM of over about 1e6 multiply-adds was
+measured to round each output alike at any row or column count, so at the zoo
+shapes the chunks give one chunk's bits and the row GEMMs the whole GEMM's.
+Smaller GEMMs take a small-matrix path that can round differently (hence whole
+columns up to _CHUNK_BYTES stay one GEMM), and so can float64 GEMMs; no float64
+result is pinned.
 """
 
 from __future__ import annotations
@@ -161,13 +164,17 @@ def _windows3(x: np.ndarray) -> np.ndarray:
         xp, x.shape + (3, 3), xp.strides + xp.strides[2:], writeable=False)
 
 
-def _im2col3(x: np.ndarray, rows: slice = slice(0, 3)) -> np.ndarray:
-    """Unfold these kernel rows of the 3x3/pad-1 windows into a (c*r*3, n*h*w)
-    matrix, r rows of 3 taps each (by default all 9 taps).  x is an NCHW
-    array or, to pad it once for several calls, its _windows3 view."""
-    win = (x if x.ndim == 6 else _windows3(x))[:, :, :, :, rows]
+def _unfold3(win: np.ndarray, rows: slice = slice(0, 3)) -> np.ndarray:
+    """Unfold these kernel rows of a _windows3 view into a (c*r*3, n*h*w)
+    matrix, r rows of 3 taps each (by default all 9 taps)."""
+    win = win[:, :, :, :, rows]
     n, c, h, w, r = win.shape[:5]
     return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * r * 3, n * h * w)
+
+
+def _im2col3(x: np.ndarray) -> np.ndarray:
+    """The (c*9, n*h*w) im2col matrix of an NCHW x: all 9 taps unfolded."""
+    return _unfold3(_windows3(x))
 
 
 # Bytes of im2col columns (or of their gradient) per chunk of images: about
@@ -262,13 +269,14 @@ class Conv3x3(Layer):
         n, c, h, w = x.shape
         cout = self.spec.out_channels
         gmat, db = _pointwise_backward(grad_out)
-        # one GEMM over the whole batch per kernel row (all three rows at
-        # once while the columns fit in _CHUNK_BYTES; module docstring)
-        r = 3 if 9 * x.nbytes <= _CHUNK_BYTES else 1
+        # one GEMM over the whole batch per kernel row, or over all three
+        # rows at once while the columns fit in _CHUNK_BYTES or in G's bytes
+        # (module docstring)
+        r = 3 if 9 * x.nbytes <= max(_CHUNK_BYTES, gmat.nbytes) else 1
         dw = np.empty((cout, c, 3, 3), np.result_type(x, gmat))
         win = _windows3(x)
         for u in range(0, 3, r):
-            dwu = _weight_grad(gmat, _im2col3(win, slice(u, u + r)))
+            dwu = _weight_grad(gmat, _unfold3(win, slice(u, u + r)))
             dw[:, :, u : u + r] = dwu.reshape(cout, c, r, 3)
         self._grads = {"w": dw, "b": db}
         del win  # the padded input, freed before the input gradient's buffers

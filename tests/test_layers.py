@@ -109,11 +109,12 @@ class TestConv3x3:
     @pytest.mark.slow
     @_OPENBLAS_ONLY
     def test_row_weight_gradient_matches_whole_gemm_at_zoo_shapes(self):
-        # columns over _CHUNK_BYTES are unfolded one kernel row at a time, and
-        # each row's GEMM must give the bits of its rows of one GEMM over all
-        # nine taps.  Smaller columns stay one GEMM: a row GEMM under about
-        # 1e6 multiply-adds rounds differently (1->16 at 28x28, n = 16, is one
-        # such case).  Criterion 6 ends each epoch on n = 16, dw140_aug on 30.
+        # columns over _CHUNK_BYTES and over G's bytes are unfolded one kernel
+        # row at a time, and each row's GEMM must give the bits of its rows of
+        # one GEMM over all nine taps.  Smaller columns stay one GEMM: a row
+        # GEMM under about 1e6 multiply-adds rounds differently (1->16 at
+        # 28x28, n = 16, is one such case).  Criterion 6 ends each epoch on
+        # n = 16, dw140_aug on 30.
         shapes = _zoo_conv3_shapes()
         assert len(shapes) == 18
         row_wise = 0
@@ -128,7 +129,7 @@ class TestConv3x3:
                 gmat = g.transpose(1, 0, 2, 3).reshape(cout, -1)
                 want = np.ascontiguousarray((layers._im2col3(x) @ gmat.T).T)
                 assert lay.grads()["w"].tobytes() == want.tobytes(), (cin, cout, h, w, n)
-                row_wise += 9 * x.nbytes > layers._CHUNK_BYTES
+                row_wise += 9 * x.nbytes > max(layers._CHUNK_BYTES, g.nbytes)
         assert row_wise > 0
 
     def test_backward_peak_stays_below_whole_batch_columns(self):
