@@ -1,9 +1,9 @@
 """Run the perfbench workloads on two git revisions in alternating pairs and
 write one BENCH_<name>.json trajectory file.
 
-    python3 scripts/ab_pairs.py --base HEAD~1 --head HEAD --name BENCH_19 \\
+    python3 scripts/ab_pairs.py --base HEAD~1 --head HEAD \\
         --change "what the head changes" --claim c3_590_bpse:peak_rss_mb \\
-        --digest-seeds 2 --out BENCH_19.json
+        --out BENCH_19.json
 
 Each side is a `git archive` of its revision, unpacked into a temporary
 directory, so what runs is exactly what is committed.  Each run is
@@ -11,8 +11,8 @@ directory, so what runs is exactly what is committed.  Each run is
 for the run_seconds of the head's BENCHMARK.json.  Every workload there runs
 PAIRS pairs at seed SEED; pair i runs the base first when i is even and the
 head first when it is odd.  After the pairs, one --trace 1 run per side and
-workload records the per-layer metrics, and --digest-seeds runs each side
-once more per extra seed, for its weight digest only.
+workload records the per-layer metrics, and each side runs once more per
+workload at each of DIGEST_SEEDS, for its weight digest only.
 
 Per workload and end-to-end metric the file gives both sides' quartiles, the
 median ratio head/base, the base's quartile distance over its median, and the
@@ -35,6 +35,7 @@ from pathlib import Path
 DIGEST = re.compile(r"weights sha256 ([0-9a-f]{64})")
 PAIRS = 10
 SEED = 1
+DIGEST_SEEDS = (2,)
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -120,10 +121,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the parent")
     ap.add_argument("--head", required=True, help="git revision of the change")
-    ap.add_argument("--name", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--claim", default=None, help="workload:metric the head claims")
-    ap.add_argument("--digest-seeds", type=int, nargs="*", default=[])
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
 
@@ -134,7 +133,7 @@ def main(argv=None):
         spec = json.loads((sides["head"] / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
         doc = {
-            "bench": args.name, "change": args.change, "host": host_metadata(),
+            "bench": args.out.stem, "change": args.change, "host": host_metadata(),
             "revisions": revs,
             "protocol": (f"perfbench/run.py --seed {SEED} --seconds {seconds:g} --trace 0 "
                          "from a git archive of each revision, one run at a time; "
@@ -177,7 +176,7 @@ def main(argv=None):
                               for s in ("base", "head")} for wl in workloads}
         doc["digest_seeds"] = {f"{wl} seed {seed}": {
             s: run_once(sides[s], wl, seed, seconds, 0)["weights_sha256"]
-            for s in ("base", "head")} for wl in workloads for seed in args.digest_seeds}
+            for s in ("base", "head")} for wl in workloads for seed in DIGEST_SEEDS}
     doc["wall_s"] = round(time.perf_counter() - t_start, 1)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"# wrote {args.out} in {doc['wall_s']:.0f} s")

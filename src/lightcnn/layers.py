@@ -238,8 +238,8 @@ def _weight_grad(gmat: np.ndarray, xm: np.ndarray) -> np.ndarray:
 class Conv3x3(Layer):
     """3x3 cross-correlation, pad 1, stride 1, with bias: h x w in, h x w out.
     Training caches the input x, not its 9x larger columns; backward unfolds
-    them again, one kernel row at a time once they outgrow L2 (module
-    docstring)."""
+    them again, one kernel row at a time once they outgrow both L2 and the
+    output gradient (module docstring)."""
 
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
