@@ -50,7 +50,8 @@ def checkout(rev, root):
     with tempfile.TemporaryFile() as tar:
         tar.write(git("archive", sha))
         tar.seek(0)
-        tarfile.open(fileobj=tar).extractall(path, filter="data")
+        with tarfile.open(fileobj=tar) as archive:
+            archive.extractall(path, filter="data")
     return sha, path
 
 
