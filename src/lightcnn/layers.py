@@ -20,24 +20,20 @@ one allocation, an interior copy and, for the mirror, four border slice
 copies.  numpy.pad spends about 30 us of Python work per call however small
 the array, a large share of a batch-1 forward.
 
-The 3x3 convolution unfolds (or folds) and multiplies a chunk of images at a
-time, so that the GEMM reads a chunk's columns from L2 (``_CHUNK_BYTES``).
-Every forward runs ceil(n / kmax) balanced chunks of ceil(n / chunks) images,
-so no chunk is a short last one.  Training caches only the input.  The
-backward's weight gradient is one GEMM over the whole batch, since summed over
-chunks it would round differently.  Once the whole columns exceed both
-_CHUNK_BYTES and the output gradient G, the backward unfolds them one kernel row
-(three taps) at a time, a third of the columns, with one whole-batch GEMM per
-row.  Each row GEMM reads all of G, so where G is the larger (a 1-channel
-input) three of them cost more than one and would save less than G holds.  The
-input gradient runs its GEMM in chunks over the output gradient laid out on a
-flat zero-bordered grid, where each tap folds back in one contiguous shifted
-add.  With OpenBLAS in float32, a GEMM of over about 1e6 multiply-adds was
-measured to round each output alike at any row or column count, so at the zoo
-shapes the chunks give one chunk's bits and the row GEMMs the whole GEMM's.
-Smaller GEMMs take a small-matrix path that can round differently (hence whole
-columns up to _CHUNK_BYTES stay one GEMM), and so can float64 GEMMs; no float64
-result is pinned.
+The 3x3 convolution unfolds and multiplies a chunk of images at a time, so
+that the GEMM reads a chunk's columns from L2 (``_CHUNK_BYTES``).  Its three
+products run the same ceil(n / kmax) balanced chunks of ceil(n / chunks)
+images (``_chunks``), so no chunk is a short last one.  Training caches only
+the input.  The weight gradient sums one GEMM per chunk, in chunk order.  The
+input gradient is the chunked convolution of the output gradient with each
+kernel flipped and its channels transposed (Dumoulin & Visin 2016, arXiv
+1603.07285).  So the backward never unfolds more than one chunk.  With
+OpenBLAS in float32, a GEMM of over about 1e6 multiply-adds was measured to
+round each output alike at any row or column count, so at the zoo shapes the
+forward's chunks give the bits of one whole-batch GEMM.  Smaller GEMMs take a
+small-matrix path that can round differently, and so can float64 GEMMs; no
+float64 result is pinned.  The backward's chunked sums round differently from
+one whole-batch GEMM; the tests bound them against float64 products.
 """
 
 from __future__ import annotations
@@ -156,36 +152,45 @@ def _pad1(x: np.ndarray, reflect: bool = False) -> np.ndarray:
     return xp
 
 
-def _windows3(x: np.ndarray) -> np.ndarray:
-    """The 3x3/pad-1 windows of x: an (n, c, h, w, 3, 3) read-only view of
-    _pad1(x), whose two window axes step like the two spatial axes."""
-    xp = _pad1(x)
-    return np.lib.stride_tricks.as_strided(
-        xp, x.shape + (3, 3), xp.strides + xp.strides[2:], writeable=False)
-
-
-def _unfold3(win: np.ndarray, rows: slice = slice(0, 3)) -> np.ndarray:
-    """Unfold these kernel rows of a _windows3 view into a (c*r*3, n*h*w)
-    matrix, r rows of 3 taps each (by default all 9 taps)."""
-    win = win[:, :, :, :, rows]
-    n, c, h, w, r = win.shape[:5]
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * r * 3, n * h * w)
-
-
 def _im2col3(x: np.ndarray) -> np.ndarray:
-    """The (c*9, n*h*w) im2col matrix of an NCHW x: all 9 taps unfolded."""
-    return _unfold3(_windows3(x))
+    """The (c*9, n*h*w) im2col matrix of an NCHW x: all 9 taps of each 3x3/pad-1
+    window, unfolded from a strided view of _pad1(x)."""
+    n, c, h, w = x.shape
+    xp = _pad1(x)
+    win = np.lib.stride_tricks.as_strided(
+        xp, x.shape + (3, 3), xp.strides + xp.strides[2:], writeable=False)
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 9, n * h * w)
 
 
-# Bytes of im2col columns (or of their gradient) per chunk of images: about
-# one core's L2, so the GEMM reads what the unfold just wrote from cache, not
-# from DRAM.  2 MiB timed best of 0.5 to 4 MiB on a 2-core Xeon (OpenBLAS).
+# Bytes of im2col columns (of the input, or of the output gradient) per chunk
+# of images: about one core's L2, so the GEMM reads what the unfold just wrote
+# from cache, not from DRAM.  2 MiB timed best of 0.5 to 4 MiB on a 2-core
+# Xeon (OpenBLAS).
 _CHUNK_BYTES = 2 << 20
 
 
 def _chunk_images(c: int, h: int, w: int, itemsize: int) -> int:
     """Images per chunk whose (c*9, k*h*w) columns fit in _CHUNK_BYTES."""
     return max(1, _CHUNK_BYTES // (9 * c * h * w * itemsize))
+
+
+def _chunks(x: np.ndarray):
+    """Image slices of NCHW x: ceil(n / kmax) chunks of ceil(n / chunks) images
+    each, kmax images filling _CHUNK_BYTES with columns, so none is short."""
+    n, c, h, w = x.shape
+    chunks = -(-n // _chunk_images(c, h, w, x.itemsize))
+    k = -(-n // chunks) if n else 1
+    for i in range(0, n, k):
+        yield slice(i, min(i + k, n))
+
+
+def _conv3(x: np.ndarray, wm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x cross-correlated with the (cout, cin*9) weights wm at 3x3, pad 1,
+    stride 1, plus bias b: one channel GEMM per chunk of images."""
+    out = np.empty((x.shape[0], wm.shape[0]) + x.shape[2:], np.result_type(x, wm))
+    for s in _chunks(x):
+        _pointwise_forward(_im2col3(x[s]), wm, b, out[s])
+    return out
 
 
 def _taps(stride: int, oh: int, ow: int):
@@ -222,8 +227,7 @@ def _pointwise_forward(xm: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.nda
 
 def _pointwise_backward(grad_out: np.ndarray):
     """The output gradient of _pointwise_forward as a (C, N*H*W) matrix G, and
-    the bias gradient.  The input gradient is w.T @ G, which Conv3x3 forms a
-    column chunk at a time."""
+    the bias gradient."""
     gmat = grad_out.transpose(1, 0, 2, 3).reshape(grad_out.shape[1], -1)
     return gmat, gmat.sum(axis=1)
 
@@ -237,9 +241,11 @@ def _weight_grad(gmat: np.ndarray, xm: np.ndarray) -> np.ndarray:
 
 class Conv3x3(Layer):
     """3x3 cross-correlation, pad 1, stride 1, with bias: h x w in, h x w out.
-    Training caches the input x, not its 9x larger columns; backward unfolds
-    them again, one kernel row at a time once they outgrow both L2 and the
-    output gradient (module docstring)."""
+    Training caches the input x, not its 9x larger columns.  All three
+    products run in the forward's chunks (module docstring): the weight
+    gradient sums one GEMM per chunk, and the input gradient is the forward
+    of the output gradient with each kernel flipped and its channels
+    transposed."""
 
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
@@ -252,14 +258,7 @@ class Conv3x3(Layer):
 
     def forward(self, x, train=True):
         self._check_channels(x, "input channels")
-        n, c, h, w = x.shape
-        wm = self.w.reshape(self.spec.out_channels, -1)
-        out = np.empty((n, self.spec.out_channels, h, w), np.result_type(x, wm))
-        # ceil(n / kmax) chunks of ceil(n / chunks) images each: none is short
-        chunks = -(-n // _chunk_images(c, h, w, x.itemsize))
-        k = -(-n // chunks) if n else 1
-        for i in range(0, n, k):
-            _pointwise_forward(_im2col3(x[i : i + k]), wm, self.b, out[i : i + k])
+        out = _conv3(x, self.w.reshape(self.spec.out_channels, -1), self.b)
         if train:
             self._cache = x
         return out
@@ -267,38 +266,14 @@ class Conv3x3(Layer):
     def backward(self, grad_out):
         x = self._require_cache()
         n, c, h, w = x.shape
-        cout = self.spec.out_channels
         gmat, db = _pointwise_backward(grad_out)
-        # one GEMM over the whole batch per kernel row, or over all three
-        # rows at once while the columns fit in _CHUNK_BYTES or in G's bytes
-        # (module docstring)
-        r = 3 if 9 * x.nbytes <= max(_CHUNK_BYTES, gmat.nbytes) else 1
-        dw = np.empty((cout, c, 3, 3), np.result_type(x, gmat))
-        win = _windows3(x)
-        for u in range(0, 3, r):
-            dwu = _weight_grad(gmat, _unfold3(win, slice(u, u + r)))
-            dw[:, :, u : u + r] = dwu.reshape(cout, c, r, 3)
-        self._grads = {"w": dw, "b": db}
-        del win  # the padded input, freed before the input gradient's buffers
-        # the input gradient wt @ G, with G laid out flat per channel: a zero
-        # row, then per image h rows of w values and a zero, and a zero row.
-        # Zeros then border every side of each image, and tap (u, v) of grid
-        # column j belongs to input column j + (u-1)(w+1) + v-1: each tap
-        # folds in one contiguous shifted add, and border columns add zeros.
-        wg = w + 1
-        gp = np.zeros((cout, wg + n * (h + 1) * wg), dtype=gmat.dtype)
-        gp[:, wg:].reshape(cout, n, h + 1, wg)[:, :, :h, :w] = grad_out.transpose(1, 0, 2, 3)
-        wt = self.w.reshape(cout, -1).T
-        m = wg + 1  # the farthest tap offset, as a margin on both ends
-        dx = np.zeros((c, gp.shape[1] + 2 * m), dtype=np.result_type(wt, gp))
-        k = _chunk_images(c, h + 1, wg, dx.itemsize) * (h + 1) * wg
-        for i in range(0, gp.shape[1], k):
-            dcols = (wt @ gp[:, i : i + k]).reshape(c, 9, -1)
-            for t in range(9):
-                j = m + i + (t // 3 - 1) * wg + t % 3 - 1
-                dx[:, j : j + dcols.shape[2]] += dcols[:, t]
-        dx = dx[:, m + wg : -m].reshape(c, n, h + 1, wg)[:, :, :h, :w]
-        return np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
+        dw = np.zeros((self.spec.out_channels, 9 * c), np.result_type(x, gmat))
+        for s in _chunks(x):
+            dw += _weight_grad(gmat[:, s.start * h * w : s.stop * h * w], _im2col3(x[s]))
+        self._grads = {"w": dw.reshape(self.w.shape), "b": db}
+        del gmat  # freed before the input gradient's buffers
+        wt = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        return _conv3(grad_out, wt, np.zeros(c, wt.dtype))
 
 
 class DepthwiseSeparable(Layer):

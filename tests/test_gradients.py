@@ -59,9 +59,9 @@ class TestLayerGradients:
             _check_layer(_make(CONV3, 2, 3, seed), _input(rng, 2, 2, 5, 5))
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_conv3x3_chunked_input_gradient(self, f64, monkeypatch, k):
-        # a budget of k + 1/2 images' columns folds a batch of 5 in chunks of
-        # k: 1 each, or 2, 2 and 1
+    def test_conv3x3_chunked_gradients(self, f64, monkeypatch, k):
+        # a budget of k + 1/2 images' columns runs a batch of 5 in chunks of
+        # k, 1 each or 2, 2 and 1, for the weight and the input gradient
         monkeypatch.setattr(layers, "_CHUNK_BYTES", (2 * k + 1) * 9 * 2 * 5 * 5 * 8 // 2)
         assert layers._chunk_images(2, 5, 5, 8) == k
         lay = _make(CONV3, 2, 3, seed=7)
