@@ -5,8 +5,8 @@ that results are reproducible and latency numbers reflect one CPU thread.
 
 Exit codes, mapped once in ``main``: 0 success; 1 for a usage or config
 error (``UsageError``, argparse errors); 2 for a data or model file error
-(``DataError``, or any ``ValueError`` the library raises, its message printed
-as the one ``error:`` line).
+(any ``ValueError``, from the library or from a file this module cannot read
+or write, its message printed as the one ``error:`` line).
 """
 
 import os
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import augment
 from . import bench as bench_mod
 from . import data as data_mod
 from . import train as train_mod
@@ -34,10 +35,6 @@ EXIT_DATA = 2
 
 
 class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
     pass
 
 
@@ -95,13 +92,8 @@ CONFIG_SCHEMA = {
     "mixup_alpha": (_interval("(0, inf)"), 0.2),
     "label_smoothing": (_interval("[0, 1)"), 0.0),
     "cutout": (_bool, False),
-    "aug_hflip": (_interval("[0, 1]"), 0.0),
-    "aug_vflip": (_interval("[0, 1]"), 0.0),
-    "aug_rotation": (_interval("[0, 1]"), 0.0),
-    "aug_gaussian_blur": (_interval("[0, 1]"), 0.0),
-    "aug_shift_scale_rotate": (_interval("[0, 1]"), 0.0),
-    "aug_random_crop": (_interval("[0, 1]"), 0.0),
-    "aug_brightness_contrast": (_interval("[0, 1]"), 0.0),
+    # one probability per augmentation op, in OP_ORDER; cutout is the bool above
+    **{f"aug_{op}": (_interval("[0, 1]"), 0.0) for op in augment.OP_ORDER if op != augment.CUTOUT},
 }
 
 
@@ -173,7 +165,7 @@ def cmd_synth(args) -> int:
     try:
         data_mod.save_container(ds, args.out)
     except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc}") from exc
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.out}: {data_mod.describe(ds).splitlines()[0]}")
     return EXIT_OK
 
@@ -182,7 +174,7 @@ def _load_dataset(path):
     try:
         return data_mod.load_container(path)
     except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+        raise ValueError(f"cannot read dataset {path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -225,7 +217,7 @@ def cmd_train(args) -> int:
         else:
             print(f"wrote {out} and {report_path}")
     except (OSError, ValueError) as exc:
-        raise DataError(f"cannot write outputs: {exc}") from exc
+        raise ValueError(f"cannot write outputs: {exc}") from exc
     if report.rows:
         last = report.rows[-1]
         print(f"final epoch {last.epoch}: train_acc={last.train_acc:.4f} "
@@ -240,7 +232,7 @@ def cmd_eval(args) -> int:
         network = zoo.load_model(args.model, input_dims=(1,) + ds.dims,
                                  num_classes=ds.num_classes)
     except OSError as exc:
-        raise DataError(f"cannot read model {args.model}: {exc}") from exc
+        raise ValueError(f"cannot read model {args.model}: {exc}") from exc
     with np.errstate(all="ignore"):  # see cmd_train
         acc, per_class, loss = train_mod.evaluate(network, ds)
     print(f"model: {network.name}")
@@ -349,7 +341,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

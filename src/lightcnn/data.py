@@ -10,6 +10,7 @@ all integers little-endian, pixels quantized to u8 (x*255 rounded).
 """
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,48 +116,27 @@ def load_container(path) -> Dataset:
 
 # ---------------------------------------------------------------- PGM import
 
+# "P5", then width, height and maxval, each a positive decimal after
+# whitespace or '#' comments that run to the end of their line (netpbm), then
+# one whitespace byte
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:(?:\s|#[^\n]*\n)+(0*[1-9]\d*))" * 3 + rb"\s")
+
+
 def _read_pgm(path) -> np.ndarray:
-    """Parse a binary (P5) PGM file into a float plane in [0, 1]."""
+    """Parse a binary (P5) PGM file into a float plane in [0, 1].  A missing,
+    signed or zero header field, a maxval above 255 and short pixel data are
+    rejected, each with the file's name."""
     raw = Path(path).read_bytes()
-
-    # header tokens may be separated by whitespace and '#' comments
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(raw):
-            ch = raw[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: unexpected end of PGM header")
-        return raw[start:pos]
-
-    if token() != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed PGM header") from exc
-    if not 1 <= maxval <= 255:
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: not a P5 PGM, or a header field is missing, signed or zero")
+    width, height, maxval = map(int, header.groups())
+    if maxval > 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    pos += 1  # single whitespace byte after maxval
-    need = width * height
-    data = np.frombuffer(raw, dtype=np.uint8, offset=pos)
-    if len(data) < need:
-        raise ValueError(f"{path}: pixel data truncated ({len(data)}/{need})")
-    plane = data[:need].reshape(height, width).astype(np.float64) / maxval
-    return plane
+    pixels = raw[header.end() : header.end() + width * height]
+    if len(pixels) < width * height:
+        raise ValueError(f"{path}: pixel data truncated ({len(pixels)}/{width * height})")
+    return np.frombuffer(pixels, np.uint8).reshape(height, width) / maxval
 
 
 def import_directory(path, dims=(28, 28)) -> Dataset:

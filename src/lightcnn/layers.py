@@ -415,17 +415,20 @@ class BlurPool2(Layer):
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=grad_out.dtype)
         for u, v, rows, cols in _taps(2, *grad_out.shape[2:]):
             dxp[:, :, rows, cols] += k[u, v] * grad_out
-        # adjoint of the reflect padding: fold pad rows/cols onto their sources
-        dq = dxp[:, :, :, 1 : w + 1].copy()
-        dq[:, :, :, 1] += dxp[:, :, :, 0]
-        dq[:, :, :, w - 2] += dxp[:, :, :, w + 1]
-        dx = dq[:, :, 1 : h + 1, :].copy()
-        dx[:, :, 1, :] += dq[:, :, 0, :]
-        dx[:, :, h - 2, :] += dq[:, :, h + 1, :]
-        return dx
+        # adjoint of the reflect padding, in place: fold the pad columns, then
+        # the pad rows, onto the pixels they mirror
+        dxp[:, :, :, 2] += dxp[:, :, :, 0]
+        dxp[:, :, :, w - 1] += dxp[:, :, :, w + 1]
+        dxp[:, :, 2] += dxp[:, :, 0]
+        dxp[:, :, h - 1] += dxp[:, :, h + 1]
+        return np.ascontiguousarray(dxp[:, :, 1 : h + 1, 1 : w + 1])
 
 
 class GlobalAvgPool(Layer):
+    """Spatial mean per channel, kept as (n, c, 1, 1).  backward returns a
+    read-only broadcast view of grad_out / (h*w), not a copy: no backward
+    here writes into its grad_out."""
+
     def forward(self, x, train=True):
         out = x.mean(axis=(2, 3), keepdims=True)
         if train:
@@ -434,53 +437,48 @@ class GlobalAvgPool(Layer):
 
     def backward(self, grad_out):
         n, c, h, w = self._require_cache()
-        return np.broadcast_to(grad_out / (h * w), (n, c, h, w)).copy()
+        return np.broadcast_to(grad_out / (h * w), (n, c, h, w))
 
 
 class SqueezeExcite(Layer):
-    """Channel gating: GAP -> dense/ReLU -> dense/sigmoid -> scale channels."""
+    """Squeeze-and-excite (Hu et al. 2018, arXiv 1709.01507): each channel is
+    scaled by the sigmoid of GAP -> Dense(c -> c/4) -> ReLU -> Dense(c/4 -> c),
+    run as those layers; only the gate is this layer's own.  w1, b1, w2, b2
+    are the two Dense layers' arrays, drawn from rng in that order."""
 
     def __init__(self, spec: LayerSpec, rng: Rng | None = None):
         super().__init__(spec)
         c = spec.in_channels
         hidden = max(1, c // SE_REDUCTION)
-        self.w1 = _he_init(rng, (hidden, c), c)
-        self.b1 = np.zeros(hidden, dtype=default_dtype())
-        self.w2 = _he_init(rng, (c, hidden), hidden)
-        self.b2 = np.zeros(c, dtype=default_dtype())
+        fc1 = Dense(LayerSpec(DENSE, c, hidden), rng)
+        fc2 = Dense(LayerSpec(DENSE, hidden, c), rng)
+        self._excite = [GlobalAvgPool(LayerSpec(GAP, c, c)), fc1,
+                        ReLU(LayerSpec(RELU, hidden, hidden)), fc2]
+        self.w1, self.b1, self.w2, self.b2 = fc1.w, fc1.b, fc2.w, fc2.b
 
     def params(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def forward(self, x, train=True):
         self._check_channels(x, "channels")
-        s = x.mean(axis=(2, 3))                      # (n, c)
-        h1 = s @ self.w1.T + self.b1                 # (n, hidden)
-        a1 = np.maximum(h1, 0.0)
-        z = a1 @ self.w2.T + self.b2                 # (n, c)
+        z = x
+        for layer in self._excite:
+            z = layer.forward(z, train)
         z = np.clip(z, -60.0, 60.0)                  # gate saturates; keeps exp in range
-        g = 1.0 / (1.0 + np.exp(-z))
-        out = x * g[:, :, None, None]
+        g = 1.0 / (1.0 + np.exp(-z))                 # (n, c, 1, 1)
         if train:
-            self._cache = (x, s, h1, a1, g)
-        return out
+            self._cache = (x, g)
+        return x * g
 
     def backward(self, grad_out):
-        x, s, h1, a1, g = self._require_cache()
-        n, c, h, w = x.shape
-        dg = (grad_out * x).sum(axis=(2, 3))
-        dx = grad_out * g[:, :, None, None]
-        dz = dg * g * (1.0 - g)
-        da1 = dz @ self.w2
-        dh1 = da1 * (h1 > 0)
-        ds = dh1 @ self.w1
-        dx += (ds / (h * w))[:, :, None, None]
-        self._grads = {
-            "w1": dh1.T @ s,
-            "b1": dh1.sum(axis=0),
-            "w2": dz.T @ a1,
-            "b2": dz.sum(axis=0),
-        }
+        x, g = self._require_cache()
+        dz = (grad_out * x).sum(axis=(2, 3), keepdims=True) * g * (1.0 - g)
+        dx = grad_out * g
+        for layer in reversed(self._excite):
+            dz = layer.backward(dz)
+        dx += dz
+        fc1, fc2 = self._excite[1].grads(), self._excite[3].grads()
+        self._grads = {"w1": fc1["w"], "b1": fc1["b"], "w2": fc2["w"], "b2": fc2["b"]}
         return dx
 
 

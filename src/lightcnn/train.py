@@ -170,6 +170,10 @@ class TrainConfig:
             raise ValueError("learning rates must be >= 0")
         if not 0.0 <= self.smoothing < 1.0:
             raise ValueError("smoothing must be in [0, 1)")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if not self.mixup_alpha > 0.0:
+            raise ValueError("mixup_alpha must be > 0")
 
 
 @dataclass

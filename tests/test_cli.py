@@ -9,6 +9,7 @@ import pytest
 
 from lightcnn import cli, data, zoo
 from lightcnn.cli import main, parse_config_text, effective_config, UsageError
+from lightcnn.train import TrainConfig
 
 
 def run_cli(argv, capsys):
@@ -45,6 +46,19 @@ class TestConfigParsing:
         assert cfg["epochs"] == 15
         assert cfg["batch_size"] == 64
         assert cfg["swa"] is False
+
+    def test_defaults_match_train_config(self):
+        # the schema restates TrainConfig's defaults; they must not drift
+        cfg = parse_config_text("")
+        defaults = vars(TrainConfig())
+        shared = cfg.keys() & defaults.keys()
+        assert {"epochs", "lr", "momentum", "mixup_alpha"} <= shared
+        for key in shared:
+            assert cfg[key] == defaults[key], key
+        for key, field in (("label_smoothing", "smoothing"), ("mixup", "use_mixup"),
+                           ("swa", "use_swa")):
+            assert cfg[key] == defaults[field], key
+        assert cli._augment_dict(cfg) == defaults["augment"]
 
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# top\n\narch = custom140_dw  # inline\n")

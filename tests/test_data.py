@@ -177,6 +177,26 @@ class TestPgmImport:
         with pytest.raises(ValueError):
             import_directory(tmp_path)
 
+    def test_comment_right_after_a_number(self, tmp_path):
+        # netpbm lets a comment start anywhere whitespace may
+        d = tmp_path / "x"
+        d.mkdir()
+        (d / "c.pgm").write_bytes(b"P5 4#c\n 4\n255\n" + bytes(range(16)))
+        ds = import_directory(tmp_path, dims=(4, 4))
+        np.testing.assert_array_equal(ds.images[0, 0].ravel(), np.arange(16) / 255.0)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n0 4\n255\n",         # zero width
+        b"P5\n-4 4\n255\n",        # signed width
+        b"P5\n4 4\n255",            # ends at maxval
+    ])
+    def test_bad_header_rejected_with_path(self, tmp_path, header):
+        d = tmp_path / "x"
+        d.mkdir()
+        (d / "bad.pgm").write_bytes(header)
+        with pytest.raises(ValueError, match="bad.pgm"):
+            import_directory(tmp_path)
+
     def test_16bit_rejected(self, tmp_path):
         d = tmp_path / "x"
         d.mkdir()

@@ -351,6 +351,21 @@ class TestGlobalAvgPool:
         lay = _layer(GAP, 7, 7)
         assert lay.forward(np.zeros((2, 7, 4, 4), np.float32)).shape == (2, 7, 1, 1)
 
+    def test_backward_allocates_no_input_sized_array(self):
+        # the gradient is a read-only broadcast view of grad_out / (h*w)
+        x = _normal((8, 16, 32, 32), 3)
+        lay = _layer(GAP, 16, 16)
+        g = lay.forward(x, train=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dx = lay.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 64
+        np.testing.assert_array_equal(dx, np.broadcast_to(g / (32 * 32), x.shape))
+
 
 class TestSqueezeExcite:
     def test_gate_bounded(self, rng):

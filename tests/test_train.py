@@ -417,6 +417,15 @@ class TestTrainLoop:
         for k in final:
             np.testing.assert_allclose(swa_params[k], final[k], atol=1e-6)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"momentum": 1.5}, {"momentum": 1.0}, {"momentum": -0.1},
+        {"use_mixup": True, "mixup_alpha": 0.0}, {"mixup_alpha": -1.0},
+    ])
+    def test_config_rejects_what_the_cli_rejects(self, kwargs):
+        # the bounds parse_config_text applies, checked before any step runs
+        with pytest.raises(ValueError, match=next(k for k in kwargs if k != "use_mixup")):
+            TrainConfig(**kwargs)
+
     def test_class_count_mismatch(self):
         train_ds, eval_ds = self._tiny_data()
         net = probe_net(10, 16, seed=0)  # 10 outputs vs 4 classes
